@@ -12,7 +12,7 @@
 //                every op depends on the previous, so batching wins by
 //                halving the barriers (down+scale fused) per node
 //   model move   recompute every internal (worst case for per-call:
-//                2 regions per op vs 1 region per level)
+//                2 regions per op vs 1 region per plan)
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -56,8 +56,7 @@ RunResult run(const phylo::PatternMatrix& data, const phylo::Tree& tree,
               const phylo::GtrParams& params, core::ExecutionBackend& backend,
               core::DispatchMode dispatch, bool full_reval, int iterations) {
   core::PlfEngine engine(data, params, tree, backend,
-                         core::KernelVariant::kSimdCol,
-                         core::SiteRepeatsMode::kOff, dispatch);
+                         core::KernelVariant::kSimdCol, dispatch);
   engine.log_likelihood();  // warm up: buffers touched, matrices built
   engine.reset_stats();
 
@@ -147,8 +146,8 @@ int main(int argc, char** argv) {
   std::cout << "Both paths produce bit-identical likelihoods; the gap is\n"
                "dispatch overhead only: per-call opens two parallel regions\n"
                "per node (down/root, then scale) and re-reads the CLV block\n"
-               "for the scale pass, while plan dispatch fuses runs of dense\n"
-               "dependency levels into single regions with the rescale done\n"
+               "for the scale pass, while plan dispatch runs the whole plan\n"
+               "as one region with the rescale done\n"
                "inside each worker's still-hot chunk. The plf columns time\n"
                "exactly the dispatched work; wall adds the per-evaluation\n"
                "costs the dispatch mode cannot change (matrix rebuilds,\n"

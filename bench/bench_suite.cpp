@@ -6,10 +6,11 @@
 //   kernel.<op>.<variant>       raw per-call kernel time at the paper's
 //                               8,543-pattern width, for scalar / simd-row /
 //                               simd-col (the approach (i)/(ii) distinction)
-//   engine.<backend>.<dispatch>.<sr>
+//   engine.<backend>.<dispatch>.sr-off
 //                               seconds per likelihood evaluation under a
 //                               branch-move loop, over {serial,threaded} ×
-//                               {percall,plan} × site repeats {off,on}
+//                               {percall,plan}; the sr-off suffix is kept so
+//                               names match bench/baseline.json
 //
 // Noise discipline: every case value is the MINIMUM over --reps repetitions
 // of the identical deterministic workload — the least-disturbed observation —
@@ -286,15 +287,13 @@ CaseStat engine_case(const phylo::PatternMatrix& data,
                      const phylo::Tree& tree, const phylo::GtrParams& params,
                      core::ExecutionBackend& backend,
                      const char* backend_label, core::DispatchMode dispatch,
-                     core::SiteRepeatsMode repeats, std::uint64_t evals,
-                     int reps, core::ClvBudget budget = core::ClvBudget{},
+                     std::uint64_t evals, int reps,
+                     core::ClvBudget budget = core::ClvBudget{},
                      const char* name_suffix = "") {
   CaseStat cs;
   cs.name = std::string("engine.") + backend_label + "." +
             (dispatch == core::DispatchMode::kPlan ? "plan" : "percall") +
-            "." +
-            (repeats == core::SiteRepeatsMode::kOn ? "sr-on" : "sr-off") +
-            name_suffix;
+            ".sr-off" + name_suffix;
   cs.unit = "s/eval";
   cs.iters = evals;
   // Engine paths cross parallel regions and allocators; they are noisier
@@ -302,8 +301,7 @@ CaseStat engine_case(const phylo::PatternMatrix& data,
   cs.threshold = std::string(backend_label) == "threaded" ? 0.40 : 0.25;
 
   core::PlfEngine engine(data, params, tree, backend,
-                         core::KernelVariant::kSimdCol, repeats, dispatch,
-                         budget);
+                         core::KernelVariant::kSimdCol, dispatch, budget);
   engine.log_likelihood();  // warm-up: buffers, matrices, plan cache
   const int n_leaves = static_cast<int>(data.n_taxa());
   for (int rep = 0; rep < reps; ++rep) {
@@ -599,14 +597,10 @@ int main(int argc, char** argv) {
   for (const BackendRow& b : backends) {
     for (const core::DispatchMode dispatch :
          {core::DispatchMode::kPerCall, core::DispatchMode::kPlan}) {
-      for (const core::SiteRepeatsMode sr :
-           {core::SiteRepeatsMode::kOff, core::SiteRepeatsMode::kOn}) {
-        cases.push_back(engine_case(data, tree, params, *b.backend, b.label,
-                                    dispatch, sr, engine_evals, reps));
-        std::cerr << cases.back().name << ": "
-                  << cases.back().min() * 1e3 << " ms/eval (min of " << reps
-                  << ")\n";
-      }
+      cases.push_back(engine_case(data, tree, params, *b.backend, b.label,
+                                  dispatch, engine_evals, reps));
+      std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
+                << " ms/eval (min of " << reps << ")\n";
     }
   }
 
@@ -626,9 +620,8 @@ int main(int argc, char** argv) {
                                {"0.25", ".budget-0.25"}};
   for (const BudgetRow& b : budgets) {
     cases.push_back(engine_case(data, tree, params, serial, "serial",
-                                core::DispatchMode::kPlan,
-                                core::SiteRepeatsMode::kOff, engine_evals,
-                                reps, core::clv_budget_from_string(b.spec),
+                                core::DispatchMode::kPlan, engine_evals, reps,
+                                core::clv_budget_from_string(b.spec),
                                 b.suffix));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
               << " ms/eval (min of " << reps << ")\n";

@@ -7,7 +7,7 @@
 // like 0.5 of the unbudgeted footprint); evicted vectors are recomputed on
 // demand, bit-identically.
 //
-// Usage: mrbayes_lite [--site-repeats=on|off|auto] [--dispatch=percall|plan]
+// Usage: mrbayes_lite [--dispatch=percall|plan]
 //                     [--clv-budget=BYTES|FRACTION] [--profile[=FILE]]
 //                     [--metrics-json[=FILE]] [--shared-pool[=DRIVERS]]
 //                     [--checkpoint-every=N] [--checkpoint=FILE]
@@ -15,6 +15,9 @@
 //                     [--telemetry[=FILE]] [--telemetry-every=N]
 //                     [--status-file=FILE] [--stop-at-ess=N]
 //                     [alignment-file] [generations] [chains] [seed]
+//
+// Any other argument starting with "--" is an error, so a misspelled flag
+// never falls through to the positionals.
 //
 // --telemetry streams one plf-telemetry-v1 JSONL record (gen, lnL, streaming
 // ESS, R-hat, acceptance + swap rates, metrics snapshot) every
@@ -102,7 +105,6 @@ plf::phylo::Alignment load_or_simulate(const char* path, std::uint64_t seed) {
 int run_main(int argc, char** argv) {
   using namespace plf;
 
-  core::SiteRepeatsMode repeats = core::SiteRepeatsMode::kAuto;
   core::DispatchMode dispatch = core::DispatchMode::kPlan;
   core::ClvBudget clv_budget;  // default: unlimited
   std::string profile_path;   // empty: profiling report/trace off
@@ -119,12 +121,8 @@ int run_main(int argc, char** argv) {
   double stop_at_ess = 0.0;
   std::vector<const char*> pos;
   for (int i = 1; i < argc; ++i) {
-    constexpr const char* kRepeatsFlag = "--site-repeats=";
     const std::string arg = argv[i];
-    if (std::strncmp(argv[i], kRepeatsFlag, std::strlen(kRepeatsFlag)) == 0) {
-      repeats = core::site_repeats_mode_from_string(
-          argv[i] + std::strlen(kRepeatsFlag));
-    } else if (arg.rfind("--dispatch=", 0) == 0) {
+    if (arg.rfind("--dispatch=", 0) == 0) {
       dispatch = core::dispatch_mode_from_string(
           arg.substr(std::strlen("--dispatch=")));
     } else if (arg.rfind("--clv-budget=", 0) == 0) {
@@ -165,6 +163,8 @@ int run_main(int argc, char** argv) {
     } else if (arg.rfind("--stop-at-ess=", 0) == 0) {
       stop_at_ess = std::strtod(
           arg.c_str() + std::strlen("--stop-at-ess="), nullptr);
+    } else if (arg.rfind("--", 0) == 0) {
+      throw Error("unknown option '" + arg + "'");
     } else {
       pos.push_back(argv[i]);
     }
@@ -187,8 +187,7 @@ int run_main(int argc, char** argv) {
             << " columns, " << data.n_patterns() << " distinct patterns\n";
   std::cout << "run: " << gens << " generations, " << n_chains
             << " coupled chains (1 cold + " << (n_chains - 1)
-            << " heated), GTR+I+G, seed " << seed << ", site repeats "
-            << core::to_string(repeats) << ", dispatch "
+            << " heated), GTR+I+G, seed " << seed << ", dispatch "
             << core::to_string(dispatch) << ", clv budget "
             << core::to_string(clv_budget) << "\n\n";
 
@@ -208,7 +207,7 @@ int run_main(int argc, char** argv) {
     start = phylo::Tree::from_newick(start.to_newick(), aln.names());
     engines.push_back(std::make_unique<core::PlfEngine>(
         data, start_params, start, backend, core::KernelVariant::kSimdCol,
-        repeats, dispatch, clv_budget));
+        dispatch, clv_budget));
   }
 
   if (!partitions_spec.empty()) {
@@ -222,7 +221,6 @@ int run_main(int argc, char** argv) {
                 : phylo::PartitionSpec::parse(partitions_spec,
                                               aln.n_columns());
     exec::PartitionedEngine::Config pcfg;
-    pcfg.site_repeats = repeats;
     pcfg.dispatch = dispatch;
     pcfg.clv_budget = clv_budget;
     std::unique_ptr<exec::InstanceScheduler> psched;
@@ -341,14 +339,6 @@ int run_main(int argc, char** argv) {
             << Table::num(
                    mc3.engine(mc3.cold_index()).model_params().p_invariant, 3)
             << "\n";
-  const auto& cold_stats = mc3.engine(mc3.cold_index()).stats();
-  if (cold_stats.repeat_sites_computed > 0) {
-    std::cout << "site repeats: " << Table::num(
-                     cold_stats.repeat_compression_ratio(), 2)
-              << "x compression on compacted kernel calls ("
-              << Table::num(100.0 * cold_stats.down_repeat_hit_rate(), 1)
-              << "% of CondLikeDown calls)\n";
-  }
 
   if (!profile_path.empty() || !metrics_path.empty()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();

@@ -102,9 +102,6 @@ void CellMachine::run_down(const core::KernelSet& /*ks*/,
   // The SPU program is compiled with the machine's SIMD layout; the caller's
   // kernel variant is not used on the Cell (as on real hardware, where the
   // SPE binary is fixed).
-  PLF_CHECK(a.site_index == nullptr,
-            "CellMachine is a dense-only backend: the SPU LS chunking streams "
-            "contiguous pattern blocks and cannot honor site_index");
   SpuJob proto;
   proto.K = a.K;
   proto.down = a;
@@ -113,8 +110,6 @@ void CellMachine::run_down(const core::KernelSet& /*ks*/,
 
 void CellMachine::run_root(const core::KernelSet& /*ks*/,
                            const core::RootArgs& a, std::size_t m) {
-  PLF_CHECK(a.down.site_index == nullptr,
-            "CellMachine is a dense-only backend (see run_down)");
   SpuJob proto;
   proto.K = a.down.K;
   proto.down = a.down;
@@ -125,8 +120,6 @@ void CellMachine::run_root(const core::KernelSet& /*ks*/,
 
 void CellMachine::run_scale(const core::KernelSet& /*ks*/,
                             const core::ScaleArgs& a, std::size_t m) {
-  PLF_CHECK(a.site_index == nullptr,
-            "CellMachine is a dense-only backend (see run_down)");
   SpuJob proto;
   proto.K = a.K;
   proto.scale = a;

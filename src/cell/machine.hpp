@@ -52,15 +52,9 @@ class CellMachine final : public core::ExecutionBackend {
 
   std::string name() const override;
 
-  /// Dense per-call offloads only: the SPE double-buffered DMA pipeline
-  /// chunks contiguous pattern blocks (no site-index indirection), and each
-  /// offload is one mailbox round trip — batching a plan would need a new
-  /// SPU command protocol, so this backend runs plans through the default
-  /// per-op loop.
-  core::Capabilities capabilities() const override {
-    return core::Capabilities::kNone;
-  }
-
+  /// Per-call offloads only: each offload is one mailbox round trip, and
+  /// batching a plan would need a new SPU command protocol, so this backend
+  /// runs plans through the default per-op loop.
   void run_down(const core::KernelSet& ks, const core::DownArgs& a,
                 std::size_t m) override;
   void run_root(const core::KernelSet& ks, const core::RootArgs& a,

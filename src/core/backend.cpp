@@ -1,6 +1,5 @@
 #include "core/backend.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "core/kernel_contracts.hpp"
@@ -47,19 +46,13 @@ void ExecutionBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   for (const PlfOp& op : plan.ops()) {
     if (op.is_root) {
       PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);
-      run_root(ks, op.args, op.run_m);
+      run_root(ks, op.args, plan.m());
     } else {
       PLF_PROF_SCOPE(obs::kTimerCondLikeDown);
-      run_down(ks, op.args.down, op.run_m);
+      run_down(ks, op.args.down, plan.m());
     }
-    {
-      PLF_PROF_SCOPE(obs::kTimerCondLikeScaler);
-      run_scale(ks, op.scale, op.run_m);
-    }
-    if (op.repeats != nullptr) {
-      PLF_PROF_SCOPE(obs::kTimerRepeatScatter);
-      scatter_op(op);
-    }
+    PLF_PROF_SCOPE(obs::kTimerCondLikeScaler);
+    run_scale(ks, op.scale, plan.m());
   }
 }
 
@@ -89,14 +82,10 @@ void SerialBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   for (const PlfOp& op : plan.ops()) {
     if (op.is_root) {
       PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);
-      run_op_fused(ks, op, 0, op.run_m);
+      run_op_fused(ks, op, 0, plan.m());
     } else {
       PLF_PROF_SCOPE(obs::kTimerCondLikeDown);
-      run_op_fused(ks, op, 0, op.run_m);
-    }
-    if (op.repeats != nullptr) {
-      PLF_PROF_SCOPE(obs::kTimerRepeatScatter);
-      scatter_op(op);
+      run_op_fused(ks, op, 0, plan.m());
     }
   }
 }
@@ -145,106 +134,24 @@ double ThreadedBackend::run_root_reduce(const KernelSet& ks,
 
 void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   detail::check_plan(plan);
-  // Two fusion regimes, both exact because every kernel is per-site
-  // elementwise: site c of an op's output depends only on site c of its
-  // children (and rescaling is per-site), so for a FIXED chunk partition any
-  // regrouping of (op, chunk) work onto workers computes bit-identical
-  // results, in any order that keeps each chunk's ops in level order.
-  //
-  //  - Vertical: a maximal run of levels whose ops are all dense and
-  //    full-width executes as ONE parallel region over [0, m): each worker
-  //    runs the entire op chain — down/root + scale per op, in plan order —
-  //    over its own site chunk. No worker ever reads a chunk another worker
-  //    wrote, so no intra-run barrier is needed at all: a k-node dirty path
-  //    costs 1 region instead of per-call's 2k, and a child's chunk is still
-  //    cache-hot when the parent op consumes it.
-  //  - Horizontal: a level containing repeat-compacted ops cannot cross the
-  //    next level without a barrier (a duplicate site's representative may
-  //    live in another worker's chunk, so the caller-thread scatter must
-  //    wait for the end-of-region barrier). Such a level concatenates its
-  //    ops into one iteration space (prefix sums over run_m) and fuses
-  //    down+scale per segment — 1 region per level vs per-call's 2 per op.
+  // Every kernel is per-site elementwise: site c of an op's output depends
+  // only on site c of its children (and rescaling is per-site). So the whole
+  // plan runs as ONE parallel region over [0, m): each worker runs the entire
+  // op chain — down/root + scale per op, in plan (level) order — over its own
+  // site chunk. No worker ever reads a chunk another worker wrote, so no
+  // barrier is needed between levels: a k-node dirty path costs 1 region
+  // instead of per-call's 2k, a child's chunk is still cache-hot when the
+  // parent op consumes it, and the results are bit-identical to per-call
+  // dispatch for any chunk partition.
   const std::vector<PlfOp>& ops = plan.ops();
-  std::vector<std::size_t> offs;
-  std::size_t level = 0;
-  while (level < plan.n_levels()) {
-    // Extend the vertical run [level, vend): dense full-width levels only.
-    std::size_t vend = level;
-    for (; vend < plan.n_levels(); ++vend) {
-      bool dense = true;
-      for (std::size_t i = plan.level_begin(vend); i < plan.level_end(vend);
-           ++i) {
-        if (ops[i].repeats != nullptr || ops[i].run_m != plan.m()) {
-          dense = false;
-          break;
-        }
-      }
-      if (!dense) break;
-    }
-
-    if (vend > level) {
-      const std::size_t ob = plan.level_begin(level);
-      const std::size_t oe = plan.level_end(vend - 1);
-      for (std::size_t l = level; l < vend; ++l) {
-        PLF_PROF_COUNT(obs::kCounterPlanLevels, 1);
-        PLF_PROF_COUNT(obs::kCounterPlanOps,
-                       plan.level_end(l) - plan.level_begin(l));
-      }
-      PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, 2 * (oe - ob) - 1);
-      {
-        PLF_PROF_SCOPE(obs::kTimerPlanLevel);
-        pool_.parallel_for(0, plan.m(), [&](par::Range r, std::size_t) {
-          for (std::size_t i = ob; i < oe; ++i) {
-            run_op_fused(ks, ops[i], r.begin, r.end);
-          }
-        });
-      }
-      level = vend;
-      continue;
-    }
-
-    // Horizontal: this level holds compacted (or partial-width) ops.
-    const std::size_t lb = plan.level_begin(level);
-    const std::size_t n_ops = plan.level_end(level) - lb;
-    offs.assign(n_ops + 1, 0);
-    for (std::size_t i = 0; i < n_ops; ++i) {
-      offs[i + 1] = offs[i] + ops[lb + i].run_m;
-    }
-    const std::size_t total = offs[n_ops];
-    PLF_PROF_COUNT(obs::kCounterPlanLevels, 1);
-    PLF_PROF_COUNT(obs::kCounterPlanOps, n_ops);
-    PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, 2 * n_ops - 1);
-    ++level;
-    if (total == 0) continue;
-
-    {
-      PLF_PROF_SCOPE(obs::kTimerPlanLevel);
-      pool_.parallel_for(0, total, [&](par::Range r, std::size_t) {
-        // First op whose [offs[i], offs[i+1]) range contains r.begin.
-        std::size_t i =
-            static_cast<std::size_t>(
-                std::upper_bound(offs.begin(), offs.end(), r.begin) -
-                offs.begin()) -
-            1;
-        for (std::size_t pos = r.begin; pos < r.end; ++i) {
-          const PlfOp& op = ops[lb + i];
-          const std::size_t seg_end = std::min(r.end, offs[i + 1]);
-          const std::size_t b = pos - offs[i];
-          const std::size_t e = seg_end - offs[i];
-          run_op_fused(ks, op, b, e);
-          pos = seg_end;
-        }
-      });
-    }
-
-    for (std::size_t i = 0; i < n_ops; ++i) {
-      const PlfOp& op = ops[lb + i];
-      if (op.repeats != nullptr) {
-        PLF_PROF_SCOPE(obs::kTimerRepeatScatter);
-        scatter_op(op);
-      }
-    }
-  }
+  if (ops.empty()) return;
+  PLF_PROF_COUNT(obs::kCounterPlanLevels, plan.n_levels());
+  PLF_PROF_COUNT(obs::kCounterPlanOps, ops.size());
+  PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, 2 * ops.size() - 1);
+  PLF_PROF_SCOPE(obs::kTimerPlanLevel);
+  pool_.parallel_for(0, plan.m(), [&](par::Range r, std::size_t) {
+    for (const PlfOp& op : ops) run_op_fused(ks, op, r.begin, r.end);
+  });
 }
 
 }  // namespace plf::core

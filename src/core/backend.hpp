@@ -16,8 +16,8 @@
 //   run_plan — a whole evaluation's dependency-leveled batch of PlfOps
 //       (core/plan.hpp). The default implementation loops ops through the
 //       per-call entries, so every backend is plan-capable and bit-identical
-//       to per-call dispatch from day one; backends advertising kFusedPlan
-//       override it to amortize synchronization across a level.
+//       to per-call dispatch from day one; backends override it to fuse
+//       kernels and amortize synchronization across the plan.
 #pragma once
 
 #include <cstddef>
@@ -34,30 +34,13 @@ namespace plf::core {
 /// contract. The engine consults this instead of per-feature virtuals.
 enum class Capabilities : std::uint32_t {
   kNone = 0,
-  /// Forwards compacted (site-indexed) kernel invocations faithfully — see
-  /// DownArgs::site_index. Backends that stage data through simulated
-  /// hardware paths (Cell DMA chunking, GPU global memory) run the dense
-  /// path only; the engine falls back automatically and their run_* entries
-  /// reject indexed arguments outright.
-  kSiteRepeats = 1u << 0,
-  /// run_plan is a real batched implementation (fused kernels and/or one
-  /// synchronization per dependency level), not the default per-op loop.
-  kFusedPlan = 1u << 1,
-  /// run_plan coalesces host<->device transfers across a batch instead of
-  /// paying a full round trip per kernel invocation.
-  kBatchedTransfers = 1u << 2,
   /// run_plan dispatches tip-specialized ops (PlfOpKind::kTipTip/kTipInner)
   /// to the lookup-table kernels instead of the generic entries. The engine
   /// only builds pair tables and sets op kinds for backends advertising this
   /// (docs/KERNELS.md); everyone else executes the always-valid generic
   /// argument block, bit-identically.
-  kTipKernels = 1u << 3,
+  kTipKernels = 1u << 0,
 };
-
-constexpr Capabilities operator|(Capabilities a, Capabilities b) {
-  return static_cast<Capabilities>(static_cast<std::uint32_t>(a) |
-                                   static_cast<std::uint32_t>(b));
-}
 
 constexpr Capabilities operator&(Capabilities a, Capabilities b) {
   return static_cast<Capabilities>(static_cast<std::uint32_t>(a) &
@@ -87,10 +70,9 @@ class ExecutionBackend {
                                  const RootReduceArgs& args, std::size_t m) = 0;
 
   /// Execute a finalized dependency-leveled batch (see core/plan.hpp):
-  /// every op's fused down/root + scale kernels, plus the repeat scatter for
-  /// compacted ops, respecting level order. The default walks ops in plan
-  /// order through the per-call entries above — bit-identical to per-call
-  /// dispatch. Overrides must preserve that bit-identity (per-site math is
+  /// every op's fused down/root + scale kernels, respecting level order. The
+  /// default walks ops in plan order through the per-call entries above —
+  /// bit-identical to per-call dispatch. Overrides must preserve that bit-identity (per-site math is
   /// partition-invariant; level order keeps the data dependencies).
   virtual void run_plan(const KernelSet& ks, const PlfPlan& plan);
 };
@@ -100,8 +82,7 @@ class SerialBackend final : public ExecutionBackend {
  public:
   std::string name() const override { return "serial"; }
   Capabilities capabilities() const override {
-    return Capabilities::kSiteRepeats | Capabilities::kFusedPlan |
-           Capabilities::kTipKernels;
+    return Capabilities::kTipKernels;
   }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;
@@ -116,18 +97,16 @@ class SerialBackend final : public ExecutionBackend {
 /// OpenMP-style parallel-for over the outermost pattern loop (§3.2): one
 /// parallel region per PLF invocation with an implicit barrier at the end —
 /// the spawn/sync structure whose overhead drives Fig. 9. run_plan lifts
-/// that structure to one region per dependency level: all of a level's ops
-/// are concatenated into a single iteration space and each worker fuses
-/// down/root + scale on its chunk, so a node costs ~1/(2·level width) of the
-/// former spawn/sync overhead (docs/EXECUTION_PLAN.md has the arithmetic).
+/// that structure to one region per plan: each worker runs every op's fused
+/// down/root + scale, in level order, on its own site chunk, so a k-node
+/// plan costs 1 region instead of per-call's 2k (docs/EXECUTION_PLAN.md).
 class ThreadedBackend final : public ExecutionBackend {
  public:
   explicit ThreadedBackend(par::ThreadPool& pool) : pool_(pool) {}
 
   std::string name() const override;
   Capabilities capabilities() const override {
-    return Capabilities::kSiteRepeats | Capabilities::kFusedPlan |
-           Capabilities::kTipKernels;
+    return Capabilities::kTipKernels;
   }
   void run_down(const KernelSet& ks, const DownArgs& a, std::size_t m) override;
   void run_root(const KernelSet& ks, const RootArgs& a, std::size_t m) override;

@@ -15,14 +15,13 @@ namespace plf::core {
 
 PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
                      phylo::Tree tree, ExecutionBackend& backend,
-                     KernelVariant variant, SiteRepeatsMode site_repeats,
-                     DispatchMode dispatch, ClvBudget clv_budget)
+                     KernelVariant variant, DispatchMode dispatch,
+                     ClvBudget clv_budget)
     : data_(std::move(data)),
       model_(params),
       tree_(std::move(tree)),
       backend_(&backend),
       kernels_(&kernels(variant)),
-      repeats_mode_(site_repeats),
       dispatch_(dispatch) {
   PLF_CHECK(data_.n_taxa() == tree_.n_taxa(),
             "pattern matrix and tree disagree on taxon count");
@@ -79,16 +78,6 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
     }
   }
   const_lik_.assign(m_, 0.0f);
-
-  // Site-repeat caching: identification is deferred to the first evaluation
-  // (construction just marks every node stale).
-  repeats_enabled_ =
-      repeats_mode_ != SiteRepeatsMode::kOff &&
-      has_capability(backend_->capabilities(), Capabilities::kSiteRepeats) &&
-      m_ > 0;
-  if (repeats_enabled_) {
-    repeats_ = SiteRepeats(data_, tree_);
-  }
 
   // Tip-specialized kernels ride plan dispatch only: the per-call path stays
   // fully generic so --dispatch=percall remains the exact A/B baseline.
@@ -169,16 +158,6 @@ void PlfEngine::reject() {
   for (auto it = spr_log_.rbegin(); it != spr_log_.rend(); ++it) {
     tree_.undo_spr(*it);
   }
-  // Topology is back to the pre-proposal shape, but the repeat classes were
-  // re-marked against the proposal's topology: re-identify against the
-  // restored one. (CLV buffers flip back pointer-wise below; classes have no
-  // double buffer — they are recomputed, which is cheap relative to kernels.)
-  if (repeats_enabled_) {
-    for (auto it = nni_log_.rbegin(); it != nni_log_.rend(); ++it) {
-      repeats_.invalidate_path(tree_, it->first);
-    }
-    if (!spr_log_.empty()) repeats_.invalidate_all();
-  }
   // Undo model change.
   if (old_params_) {
     model_ = phylo::SubstitutionModel(*old_params_);
@@ -231,8 +210,6 @@ void PlfEngine::apply_nni(int v, bool swap_left) {
   if (in_proposal_) nni_log_.emplace_back(v, swap_left);
   // v's children changed, so v and everything above it must be recomputed.
   mark_path_dirty(v);
-  // Descendant sets changed for the same nodes: their repeat classes are out.
-  if (repeats_enabled_) repeats_.invalidate_path(tree_, v);
   scaler_resum_ = true;  // topology change: rebuild the scaler total
 }
 
@@ -246,8 +223,6 @@ void PlfEngine::apply_spr(int s, int target, double split_x) {
   mark_branch_dirty(undo.target);
   mark_path_dirty(tree_.node(undo.w).parent);  // where the subtree left
   mark_path_dirty(undo.u);                     // where it arrived
-  // SPR rewires ancestry broadly; re-identify all repeat classes.
-  if (repeats_enabled_) repeats_.invalidate_all();
   scaler_resum_ = true;  // topology change: rebuild the scaler total
 }
 
@@ -340,23 +315,6 @@ ChildArgs PlfEngine::make_plan_child(int node) const {
     }
   }
   return make_child(node);
-}
-
-const NodeRepeats* PlfEngine::repeats_for(int id) const {
-  if (!repeats_enabled_) return nullptr;
-  const NodeRepeats& nr = repeats_.node(id);
-  if (nr.n_classes >= m_) return nullptr;  // nothing repeats: dense is free
-  if (repeats_mode_ == SiteRepeatsMode::kAuto &&
-      static_cast<double>(nr.n_classes) >
-          kSiteRepeatsAutoMaxUniqueFraction * static_cast<double>(m_)) {
-    return nullptr;  // too few repeats to pay for the scatter pass
-  }
-  return &nr;
-}
-
-void PlfEngine::scatter_repeats(const NodeRepeats& nr, float* cl,
-                                float* ln_scaler) const {
-  core::scatter_repeats(nr, k_, cl, ln_scaler);  // core/plan.cpp
 }
 
 void PlfEngine::collect_recompute_targets() {
@@ -465,21 +423,17 @@ void PlfEngine::build_plan() {
     NodeState& st = nodes_[static_cast<std::size_t>(id)];
     float* out = arena_.data(clv_slot(id, target));
     float* ln_scaler = st.scaler[static_cast<std::size_t>(target)].data();
-    const NodeRepeats* nr = repeats_for(id);
 
     PlfOp op;
     op.node = id;
     op.left = n.left;
     op.right = n.right;
     op.is_root = id == tree_.root();
-    op.repeats = nr;
-    op.run_m = nr != nullptr ? nr->n_classes : m_;
+    op.run_m = m_;
     op.args.down.left = make_plan_child(n.left);
     op.args.down.right = make_plan_child(n.right);
     op.args.down.out = out;
     op.args.down.K = k_;
-    op.args.down.site_index = nr != nullptr ? nr->unique_sites.data() : nullptr;
-    op.args.down.n_sites = m_;
     if (op.is_root) {
       const int og = tree_.outgroup();
       const BranchState& ob = branches_[static_cast<std::size_t>(og)];
@@ -490,8 +444,6 @@ void PlfEngine::build_plan() {
     op.scale.cl = out;
     op.scale.ln_scaler = ln_scaler;
     op.scale.K = k_;
-    op.scale.site_index = op.args.down.site_index;
-    op.scale.n_sites = m_;
 
     // Tip specialization (docs/KERNELS.md): a cherry op becomes a pair-table
     // gather, a one-tip op the branch-free tip×inner kernel. The tip child is
@@ -524,8 +476,6 @@ void PlfEngine::build_plan() {
         op.tt.out = out;
         op.tt.K = k_;
         op.tt.table_categories = st.pair.n_categories();
-        op.tt.site_index = op.args.down.site_index;
-        op.tt.n_sites = m_;
         ++stats_.tip_tt_ops;
       } else if (l_tip != r_tip) {
         if (!l_tip) {
@@ -542,18 +492,11 @@ void PlfEngine::build_plan() {
     // Work accounting identical to what the per-call loop counts.
     if (op.is_root) {
       ++stats_.root_calls;
-      if (nr != nullptr) ++stats_.repeat_root_hits;
     } else {
       ++stats_.down_calls;
-      if (nr != nullptr) ++stats_.repeat_down_hits;
     }
     ++stats_.scale_calls;
-    if (nr != nullptr) {
-      ++stats_.repeat_scale_hits;
-      stats_.repeat_sites_total += m_;
-      stats_.repeat_sites_computed += op.run_m;
-    }
-    stats_.pattern_iterations += 2 * op.run_m;
+    stats_.pattern_iterations += 2 * m_;
   }
   plan_.finalize();
   PLF_DCHECK(plan_.n_ops() == recompute_targets_.size(),
@@ -597,13 +540,6 @@ void PlfEngine::execute_percall() {
     float* out = arena_.data(clv_slot(id, target));
     float* ln_scaler = st.scaler[static_cast<std::size_t>(target)].data();
 
-    // Site-repeat compaction: compute only the class representatives, then
-    // scatter their CLV blocks (and scaler entries) to the duplicate sites.
-    const NodeRepeats* nr = repeats_for(id);
-    const std::uint32_t* site_index =
-        nr != nullptr ? nr->unique_sites.data() : nullptr;
-    const std::size_t run_m = nr != nullptr ? nr->n_classes : m_;
-
     Stopwatch plf_sw;
     if (id == tree_.root()) {
       RootArgs ra;
@@ -611,53 +547,38 @@ void PlfEngine::execute_percall() {
       ra.down.right = make_child(n.right);
       ra.down.out = out;
       ra.down.K = k_;
-      ra.down.site_index = site_index;
-      ra.down.n_sites = m_;
       const int og = tree_.outgroup();
       const BranchState& ob = branches_[static_cast<std::size_t>(og)];
       ra.out_mask = data_.row(static_cast<std::size_t>(tree_.node(og).taxon));
       ra.out_tp = ob.tp[static_cast<std::size_t>(ob.active)].data();
       {
         PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);
-        backend_->run_root(*kernels_, ra, run_m);
+        backend_->run_root(*kernels_, ra, m_);
       }
       ++stats_.root_calls;
-      if (nr != nullptr) ++stats_.repeat_root_hits;
     } else {
       DownArgs da;
       da.left = make_child(n.left);
       da.right = make_child(n.right);
       da.out = out;
       da.K = k_;
-      da.site_index = site_index;
-      da.n_sites = m_;
       {
         PLF_PROF_SCOPE(obs::kTimerCondLikeDown);
-        backend_->run_down(*kernels_, da, run_m);
+        backend_->run_down(*kernels_, da, m_);
       }
       ++stats_.down_calls;
-      if (nr != nullptr) ++stats_.repeat_down_hits;
     }
 
     ScaleArgs sa;
     sa.cl = out;
     sa.ln_scaler = ln_scaler;
     sa.K = k_;
-    sa.site_index = site_index;
-    sa.n_sites = m_;
     {
       PLF_PROF_SCOPE(obs::kTimerCondLikeScaler);
-      backend_->run_scale(*kernels_, sa, run_m);
+      backend_->run_scale(*kernels_, sa, m_);
     }
     ++stats_.scale_calls;
-    if (nr != nullptr) {
-      ++stats_.repeat_scale_hits;
-      stats_.repeat_sites_total += m_;
-      stats_.repeat_sites_computed += run_m;
-      PLF_PROF_SCOPE(obs::kTimerRepeatScatter);
-      scatter_repeats(*nr, out, ln_scaler);
-    }
-    stats_.pattern_iterations += 2 * run_m;  // one PLF pass + one scaler pass
+    stats_.pattern_iterations += 2 * m_;  // one PLF pass + one scaler pass
     stats_.plf_seconds += plf_sw.seconds();
 
     if (target != st.active) {
@@ -685,16 +606,6 @@ void PlfEngine::evaluate() {
     }
   }
   stats_.serial_seconds += serial_sw.seconds();
-
-  // 1b. Re-identify repeat classes on nodes whose subtree changed (lazy: the
-  // topology moves only marked them stale). Postorder inside refresh()
-  // guarantees children are identified before parents.
-  if (repeats_enabled_ && repeats_.any_stale()) {
-    PLF_PROF_SCOPE(obs::kTimerRepeatIdentify);
-    Stopwatch repeat_sw;
-    repeats_.refresh(tree_);
-    stats_.repeat_rebuild_seconds += repeat_sw.seconds();
-  }
 
   // 2. Recompute dirty internal nodes, children before parents: collect the
   // dirty postorder (with each node's resolved write target) once, then
@@ -846,11 +757,6 @@ void PlfEngine::publish_stats(obs::MetricsRegistry& registry) const {
   set(obs::kGaugeEngineTmBuilds, static_cast<double>(stats_.tm_builds));
   set(obs::kGaugeEnginePatternIterations,
       static_cast<double>(stats_.pattern_iterations));
-  set(obs::kGaugeRepeatDownHitRate, stats_.down_repeat_hit_rate());
-  set(obs::kGaugeRepeatRootHitRate, stats_.root_repeat_hit_rate());
-  set(obs::kGaugeRepeatScaleHitRate, stats_.scale_repeat_hit_rate());
-  set(obs::kGaugeRepeatCompressionRatio, stats_.repeat_compression_ratio());
-  set(obs::kGaugeRepeatRebuildSeconds, stats_.repeat_rebuild_seconds);
   set(obs::kGaugeEnginePlanBuilds, static_cast<double>(stats_.plan_builds));
   set(obs::kGaugeEnginePlanOps, static_cast<double>(stats_.plan_ops));
   set(obs::kGaugeEnginePlanLevels, static_cast<double>(stats_.plan_levels));
@@ -1020,9 +926,7 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
   ln_lik_ = r.f64();
   lik_valid_ = r.u8() != 0;
 
-  // Repeat classes re-identify lazily (deterministic from data + tree), and
-  // the proposal undo machinery starts from a clean slate.
-  if (repeats_enabled_) repeats_.invalidate_all();
+  // The proposal undo machinery starts from a clean slate.
   proposal_epoch_ = 0;
   saved_ln_lik_ = 0.0;
   saved_lik_valid_ = false;

@@ -25,7 +25,6 @@
 #include "core/kernels.hpp"
 #include "core/plan.hpp"
 #include "obs/metrics.hpp"
-#include "core/repeats.hpp"
 #include "core/tip_partial.hpp"
 #include "phylo/model.hpp"
 #include "phylo/patterns.hpp"
@@ -53,16 +52,6 @@ struct EngineStats {
   double plf_seconds = 0.0;               ///< wall time inside kernels
   double serial_seconds = 0.0;            ///< matrix rebuilds + scaler totals
 
-  // Site-repeat caching (docs/SITE_REPEATS.md). A "hit" is a kernel call that
-  // took the compacted path; sites_total/sites_computed cover hits only, so
-  // their ratio is the realized compression.
-  std::uint64_t repeat_down_hits = 0;
-  std::uint64_t repeat_root_hits = 0;
-  std::uint64_t repeat_scale_hits = 0;
-  std::uint64_t repeat_sites_total = 0;     ///< m summed over compacted calls
-  std::uint64_t repeat_sites_computed = 0;  ///< unique classes summed over them
-  double repeat_rebuild_seconds = 0.0;      ///< class identification time
-
   // Plan dispatch (docs/EXECUTION_PLAN.md). One build per evaluation with
   // dirty nodes; plan_ops/plan_levels accumulate over builds, so their ratio
   // is the mean level width — the spawn/sync amortization factor.
@@ -84,29 +73,6 @@ struct EngineStats {
   std::uint64_t tip_tt_ops = 0;
   std::uint64_t tip_ti_ops = 0;
   std::uint64_t tip_tables_built = 0;
-
-  /// Sites per computed class on the compacted calls (1.0 when none ran).
-  double repeat_compression_ratio() const {
-    return repeat_sites_computed == 0
-               ? 1.0
-               : static_cast<double>(repeat_sites_total) /
-                     static_cast<double>(repeat_sites_computed);
-  }
-  double down_repeat_hit_rate() const {
-    return down_calls == 0 ? 0.0
-                           : static_cast<double>(repeat_down_hits) /
-                                 static_cast<double>(down_calls);
-  }
-  double root_repeat_hit_rate() const {
-    return root_calls == 0 ? 0.0
-                           : static_cast<double>(repeat_root_hits) /
-                                 static_cast<double>(root_calls);
-  }
-  double scale_repeat_hit_rate() const {
-    return scale_calls == 0 ? 0.0
-                            : static_cast<double>(repeat_scale_hits) /
-                                  static_cast<double>(scale_calls);
-  }
 };
 
 class PlfEngine {
@@ -114,7 +80,6 @@ class PlfEngine {
   PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
             phylo::Tree tree, ExecutionBackend& backend,
             KernelVariant variant = KernelVariant::kSimdCol,
-            SiteRepeatsMode site_repeats = SiteRepeatsMode::kAuto,
             DispatchMode dispatch = DispatchMode::kPlan,
             ClvBudget clv_budget = ClvBudget{});
 
@@ -153,9 +118,9 @@ class PlfEngine {
   }
 
   /// Fold the current EngineStats into `registry` as "engine.*" gauges
-  /// (call counts, pattern iterations, site-repeat hit rates and realized
-  /// compression). Gauges are last-write-wins, so repeated publication is
-  /// idempotent. Cold path: available regardless of PLF_PROFILING.
+  /// (call counts, pattern iterations, plan and tip-kernel counters). Gauges
+  /// are last-write-wins, so repeated publication is idempotent. Cold path:
+  /// available regardless of PLF_PROFILING.
   void publish_stats(obs::MetricsRegistry& registry) const;
 
   /// Label prepended (as "<label>.") to every gauge name this engine
@@ -183,10 +148,9 @@ class PlfEngine {
   /// config fingerprint is checked; bit-identity additionally requires the
   /// same kernel configuration, which cannot be fingerprinted). Branch
   /// transition matrices are rebuilt eagerly (pure functions of model x
-  /// length), non-resident CLVs rematerialize on the next evaluation, and
-  /// site-repeat classes re-identify lazily — all deterministic, so the
-  /// post-restore likelihood trajectory is bit-identical to the
-  /// uninterrupted run's.
+  /// length) and non-resident CLVs rematerialize on the next evaluation —
+  /// both deterministic, so the post-restore likelihood trajectory is
+  /// bit-identical to the uninterrupted run's.
   void restore_state(util::BinaryReader& r);
 
   /// How evaluations reach the backend: per-call kernels or dependency-
@@ -197,17 +161,6 @@ class PlfEngine {
   /// kernels (backend advertises Capabilities::kTipKernels; per-call dispatch
   /// stays fully generic as the A/B baseline).
   bool tip_kernels_enabled() const { return tip_kernels_enabled_; }
-
-  /// Requested site-repeats policy (the effective path also depends on the
-  /// backend's Capabilities::kSiteRepeats and each node's compression).
-  SiteRepeatsMode site_repeats_mode() const { return repeats_mode_; }
-  /// True when this engine can ever take the compacted path.
-  bool site_repeats_enabled() const { return repeats_enabled_; }
-  /// Sites-per-class averaged over internal nodes (identification must have
-  /// run, i.e. after the first log_likelihood() with repeats enabled).
-  double repeat_mean_compression() const {
-    return repeats_.initialized() ? repeats_.mean_compression() : 1.0;
-  }
 
   /// Read-only view of an internal node's active conditional likelihoods
   /// (tests/diagnostics). PLF_CHECKs that the buffer is arena-resident — an
@@ -301,12 +254,6 @@ class PlfEngine {
   void execute_percall() PLF_REQUIRES(checker_);
   /// Deferred flips + dirty clearing after a plan executes.
   void post_process_plan() PLF_REQUIRES(checker_);
-  /// Repeat classes to compact node `id` with, or nullptr for the dense path
-  /// (mode/backend/compression gate). Identification must be fresh.
-  const NodeRepeats* repeats_for(int id) const;
-  /// Copy each repeat class's representative CLV block and scaler entry to
-  /// the class's duplicate sites (representatives precede duplicates).
-  void scatter_repeats(const NodeRepeats& nr, float* cl, float* ln_scaler) const;
   /// Arena footprint gauges (engine.clv_bytes + arena.*). Called from the
   /// constructor against the global registry — before the first snapshot any
   /// --metrics-json run takes — and from publish_stats.
@@ -323,13 +270,6 @@ class PlfEngine {
 
   std::vector<NodeState> nodes_;     ///< indexed by node id; internals only
   std::vector<BranchState> branches_;///< indexed by node id; all but root
-
-  // Site-repeat caching (see core/repeats.hpp). Classes are invariant under
-  // branch-length/model changes; topology moves invalidate the affected
-  // root paths and evaluate() refreshes lazily.
-  SiteRepeatsMode repeats_mode_ = SiteRepeatsMode::kAuto;
-  bool repeats_enabled_ = false;  ///< mode != off && backend supports it
-  SiteRepeats repeats_;
 
   // Tip-specialized plan ops: enabled when the backend can dispatch them.
   // tp_builds_ stamps every tip-partial rebuild (see BranchState::tp_stamp).

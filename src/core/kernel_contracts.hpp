@@ -55,30 +55,11 @@ inline void check_child_aligned(const ChildArgs& ch) {
   }
 }
 
-/// Trust boundary of the site-repeat index vector: the engine hands kernels a
-/// compacted site list built by core/repeats. The representative sites are
-/// strictly increasing by construction, so the last entry bounds the whole
-/// range — checked always (O(1), it guards every subsequent indexed store);
-/// the monotonicity itself is re-verified per chunk in checked builds.
-inline void check_site_index(const std::uint32_t* site_index, std::size_t begin,
-                             std::size_t end, std::size_t n_sites) {
-  if (site_index == nullptr || begin >= end) return;
-  PLF_CHECK(site_index[end - 1] < n_sites,
-            "site_index: repeat index out of range");
-#if PLF_CONTRACTS_LEVEL
-  for (std::size_t i = begin + 1; i < end; ++i) {
-    PLF_DCHECK(site_index[i - 1] < site_index[i],
-               "site_index: representative sites must be strictly increasing");
-  }
-#endif
-}
-
 inline void check_down(const DownArgs& a, std::size_t begin, std::size_t end,
                        bool needs_transpose) {
   PLF_DCHECK(begin <= end, "cond_like_down: reversed pattern range");
   PLF_DCHECK(a.K >= 1, "cond_like_down: needs at least one rate category");
   PLF_DCHECK(a.out != nullptr, "cond_like_down: null output array");
-  check_site_index(a.site_index, begin, end, a.n_sites);
   check_child(a.left, needs_transpose);
   check_child(a.right, needs_transpose);
 }
@@ -118,10 +99,8 @@ inline void check_down_tt(const TipTipArgs& a, std::size_t begin,
   PLF_DCHECK(a.pair != nullptr, "tip-tip down: null pair table");
   PLF_CHECK(a.table_categories == a.K,
             "tip-tip down: pair table/CLV rate-category mismatch");
-  check_site_index(a.site_index, begin, end, a.n_sites);
 #if PLF_CONTRACTS_LEVEL
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  for (std::size_t c = begin; c < end; ++c) {
     PLF_DCHECK(a.left_mask[c] < phylo::kNumMasks &&
                    a.right_mask[c] < phylo::kNumMasks,
                "tip-tip down: tip-state code out of range");
@@ -130,15 +109,13 @@ inline void check_down_tt(const TipTipArgs& a, std::size_t begin,
 }
 
 /// Fused down/root + scale trust boundary: the scale block must alias the
-/// down output and describe the same iteration space, otherwise the single
-/// pass would rescale rows the down stage never wrote.
+/// down output and describe the same rows, otherwise the single pass would
+/// rescale rows the down stage never wrote.
 inline void check_fused_scale(const ScaleArgs& s, const float* down_out,
-                              std::size_t K, const std::uint32_t* site_index) {
+                              std::size_t K) {
   PLF_DCHECK(s.cl == down_out,
              "fused scale: scale block must alias the down output");
   PLF_DCHECK(s.K == K, "fused scale: rate-category mismatch");
-  PLF_DCHECK(s.site_index == site_index,
-             "fused scale: site-index mismatch with the down stage");
   PLF_DCHECK(s.ln_scaler != nullptr, "fused scale: null scaler row");
 }
 
@@ -160,7 +137,6 @@ inline void check_scale(const ScaleArgs& a, std::size_t begin,
   PLF_DCHECK(a.K >= 1, "cond_like_scaler: needs at least one rate category");
   PLF_DCHECK(a.cl != nullptr && a.ln_scaler != nullptr,
              "cond_like_scaler: null array");
-  check_site_index(a.site_index, begin, end, a.n_sites);
 }
 
 inline void check_root_reduce(const RootReduceArgs& a, std::size_t begin,
@@ -186,8 +162,7 @@ inline void check_root_reduce(const RootReduceArgs& a, std::size_t begin,
 ///   - the fused scale stage aliases the op's own down/root output
 ///     (scale.cl == args.down.out) with a real scaler row to fill, so a
 ///     backend may rescale each site chunk immediately after computing it;
-///   - run_m never exceeds the plan's pattern count, and a compacted op's
-///     run_m/site_index agree with its repeat classes.
+///   - every op iterates the plan's full pattern count.
 inline void check_plan(const PlfPlan& plan) {
   PLF_DCHECK(plan.finalized(), "run_plan: plan must be finalized");
 #if PLF_CONTRACTS_LEVEL
@@ -210,7 +185,8 @@ inline void check_plan(const PlfPlan& plan) {
                  "run_plan: fused scale must alias the op's down output");
       PLF_DCHECK(op.scale.ln_scaler != nullptr,
                  "run_plan: fused scale needs a scaler row");
-      PLF_DCHECK(op.run_m <= plan.m(), "run_plan: op exceeds pattern count");
+      PLF_DCHECK(op.run_m == plan.m(),
+                 "run_plan: op run_m must equal the plan's pattern count");
       if (op.kind != PlfOpKind::kGeneric) {
         PLF_DCHECK(!op.is_root,
                    "run_plan: root ops must use the generic three-way kernel");
@@ -220,18 +196,10 @@ inline void check_plan(const PlfPlan& plan) {
                    "run_plan: tip-tip op must write the op's down output");
         PLF_DCHECK(op.tt.table_categories == op.args.down.K,
                    "run_plan: tip-tip pair table built for a different K");
-        PLF_DCHECK(op.tt.site_index == op.args.down.site_index,
-                   "run_plan: tip-tip op must share the op's site index");
       } else if (op.kind == PlfOpKind::kTipInner) {
         PLF_DCHECK(op.args.down.left.mask != nullptr &&
                        op.args.down.right.cl != nullptr,
                    "run_plan: tip-inner op must be canonicalized tip-left");
-      }
-      if (op.repeats != nullptr) {
-        PLF_DCHECK(op.run_m == op.repeats->n_classes,
-                   "run_plan: compacted op must iterate its class count");
-        PLF_DCHECK(op.args.down.site_index == op.repeats->unique_sites.data(),
-                   "run_plan: compacted op must index its representatives");
       }
     }
   }

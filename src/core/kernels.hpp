@@ -62,15 +62,6 @@ struct DownArgs {
   ChildArgs right;
   float* out = nullptr;  ///< clP, same layout as inputs
   std::size_t K = 4;     ///< number of discrete rate categories
-  /// Site-repeat compaction (optional). When non-null, iteration index idx in
-  /// [begin, end) addresses pattern site_index[idx] instead of idx — every
-  /// load and the store go through the mapped site, so the kernel computes
-  /// only repeat-class representative sites; the engine scatters the results
-  /// to duplicate sites afterwards. Entries are strictly increasing and
-  /// bounded by n_sites (the contract layer verifies both). Backends that
-  /// cannot honor the indirection must refuse it (Capabilities::kSiteRepeats).
-  const std::uint32_t* site_index = nullptr;
-  std::size_t n_sites = 0;  ///< exclusive bound on site_index entries
 };
 
 /// Arguments for cond_like_root: down plus the third (outgroup) neighbor,
@@ -101,8 +92,6 @@ struct TipTipArgs {
   /// Rate-category count the tables were built for; contract-checked == K so
   /// a stale or foreign table cannot be gathered at the wrong row stride.
   std::size_t table_categories = 0;
-  const std::uint32_t* site_index = nullptr;  ///< see DownArgs::site_index
-  std::size_t n_sites = 0;
 };
 
 /// Arguments for cond_like_scaler.
@@ -110,8 +99,6 @@ struct ScaleArgs {
   float* cl = nullptr;         ///< scaled in place
   float* ln_scaler = nullptr;  ///< per-pattern log scale factor (overwritten)
   std::size_t K = 4;
-  const std::uint32_t* site_index = nullptr;  ///< see DownArgs::site_index
-  std::size_t n_sites = 0;
 };
 
 /// Arguments for the root log-likelihood reduction.

@@ -1,10 +1,10 @@
 // Scalar reference implementation of the PLF kernels — the ground truth all
 // SIMD/backend variants are validated against.
 //
-// Each kernel body lives in a per-site helper; the public entries map the
-// iteration index through the optional site-repeat indirection and invoke the
-// helper. The fused down+scale entries compose the SAME helpers per site, so
-// fusion is bit-identical to the two-pass form by construction.
+// Each kernel body lives in a per-site helper; the public entries loop it
+// over their pattern range. The fused down+scale entries compose the SAME
+// helpers per site, so fusion is bit-identical to the two-pass form by
+// construction.
 #include <cmath>
 
 #include "core/kernel_contracts.hpp"
@@ -96,43 +96,29 @@ inline void scale_site(std::size_t c, const ScaleArgs& a) {
 
 void down_scalar(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/false);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) down_site(c, a);
 }
 
 void down_ti_scalar(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) down_ti_site(c, a);
 }
 
 void root_scalar(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/false);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) root_site(c, a);
 }
 
 void scale_scalar(const ScaleArgs& a, std::size_t begin, std::size_t end) {
   detail::check_scale(a, begin, end);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    scale_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) scale_site(c, a);
 }
 
 void down_scale_scalar(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
                        std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/false);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  detail::check_fused_scale(s, a.out, a.K);
+  for (std::size_t c = begin; c < end; ++c) {
     down_site(c, a);
     scale_site(c, s);
   }
@@ -141,9 +127,8 @@ void down_scale_scalar(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
 void down_ti_scale_scalar(const DownArgs& a, const ScaleArgs& s,
                           std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  detail::check_fused_scale(s, a.out, a.K);
+  for (std::size_t c = begin; c < end; ++c) {
     down_ti_site(c, a);
     scale_site(c, s);
   }
@@ -152,10 +137,8 @@ void down_ti_scale_scalar(const DownArgs& a, const ScaleArgs& s,
 void root_scale_scalar(const RootArgs& a, const ScaleArgs& s,
                        std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/false);
-  detail::check_fused_scale(s, a.down.out, a.down.K, a.down.site_index);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
+  detail::check_fused_scale(s, a.down.out, a.down.K);
+  for (std::size_t c = begin; c < end; ++c) {
     root_site(c, a);
     scale_site(c, s);
   }

@@ -106,38 +106,27 @@ inline void root_site(std::size_t c, const RootArgs& a) {
 void down_col(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) down_site(c, a);
 }
 
 void down_ti_col(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) down_ti_site(c, a);
 }
 
 void root_col(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
   detail::check_root_aligned(a);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) root_site(c, a);
 }
 
 void down_scale_col(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
                     std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  detail::check_fused_scale(s, a.out, a.K);
+  for (std::size_t c = begin; c < end; ++c) {
     down_site(c, a);
     scale_site(c, s);
   }
@@ -147,9 +136,8 @@ void down_ti_scale_col(const DownArgs& a, const ScaleArgs& s,
                        std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  detail::check_fused_scale(s, a.out, a.K);
+  for (std::size_t c = begin; c < end; ++c) {
     down_ti_site(c, a);
     scale_site(c, s);
   }
@@ -159,10 +147,8 @@ void root_scale_col(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
                     std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
   detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K, a.down.site_index);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
+  detail::check_fused_scale(s, a.down.out, a.down.K);
+  for (std::size_t c = begin; c < end; ++c) {
     root_site(c, a);
     scale_site(c, s);
   }
@@ -267,41 +253,30 @@ void down_col8(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
   const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site8(c, a, k_pairs);
-  }
+  for (std::size_t c = begin; c < end; ++c) down_site8(c, a, k_pairs);
 }
 
 void down_ti_col8(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
   const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site8(c, a, k_pairs);
-  }
+  for (std::size_t c = begin; c < end; ++c) down_ti_site8(c, a, k_pairs);
 }
 
 void root_col8(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
   detail::check_root_aligned(a);
   const std::size_t k_pairs = a.down.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site8(c, a, k_pairs);
-  }
+  for (std::size_t c = begin; c < end; ++c) root_site8(c, a, k_pairs);
 }
 
 void down_scale_col8(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
                      std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
+  detail::check_fused_scale(s, a.out, a.K);
   const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  for (std::size_t c = begin; c < end; ++c) {
     down_site8(c, a, k_pairs);
     scale_site(c, s);
   }
@@ -311,10 +286,9 @@ void down_ti_scale_col8(const DownArgs& a, const ScaleArgs& s,
                         std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
+  detail::check_fused_scale(s, a.out, a.K);
   const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  for (std::size_t c = begin; c < end; ++c) {
     down_ti_site8(c, a, k_pairs);
     scale_site(c, s);
   }
@@ -324,11 +298,9 @@ void root_scale_col8(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
                      std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
   detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K, a.down.site_index);
+  detail::check_fused_scale(s, a.down.out, a.down.K);
   const std::size_t k_pairs = a.down.K / 2 * 2;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
+  for (std::size_t c = begin; c < end; ++c) {
     root_site8(c, a, k_pairs);
     scale_site(c, s);
   }

@@ -101,47 +101,33 @@ inline void scale_site(std::size_t c, const ScaleArgs& a) {
 void down_row(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/false);
   detail::check_down_aligned(a);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) down_site(c, a);
 }
 
 void down_ti_row(const DownArgs& a, std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
   detail::check_down_aligned(a);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    down_ti_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) down_ti_site(c, a);
 }
 
 void root_row(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/false);
   detail::check_root_aligned(a);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
-    root_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) root_site(c, a);
 }
 
 void scale_simd(const ScaleArgs& a, std::size_t begin, std::size_t end) {
   detail::check_scale(a, begin, end);
   PLF_DCHECK_ALIGNED(a.cl, detail::kKernelAlignBytes);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
-    scale_site(c, a);
-  }
+  for (std::size_t c = begin; c < end; ++c) scale_site(c, a);
 }
 
 void down_scale_row(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
                     std::size_t end) {
   detail::check_down(a, begin, end, /*needs_transpose=*/false);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  detail::check_fused_scale(s, a.out, a.K);
+  for (std::size_t c = begin; c < end; ++c) {
     down_site(c, a);
     scale_site(c, s);
   }
@@ -151,9 +137,8 @@ void down_ti_scale_row(const DownArgs& a, const ScaleArgs& s,
                        std::size_t begin, std::size_t end) {
   detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
   detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K, a.site_index);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  detail::check_fused_scale(s, a.out, a.K);
+  for (std::size_t c = begin; c < end; ++c) {
     down_ti_site(c, a);
     scale_site(c, s);
   }
@@ -163,10 +148,8 @@ void root_scale_row(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
                     std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/false);
   detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K, a.down.site_index);
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c =
-        a.down.site_index != nullptr ? a.down.site_index[idx] : idx;
+  detail::check_fused_scale(s, a.down.out, a.down.K);
+  for (std::size_t c = begin; c < end; ++c) {
     root_site(c, a);
     scale_site(c, s);
   }

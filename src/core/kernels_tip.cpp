@@ -17,8 +17,7 @@ namespace plf::core::detail {
 void down_tip_tip(const TipTipArgs& a, std::size_t begin, std::size_t end) {
   check_down_tt(a, begin, end);
   const std::size_t row = a.K * 4;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  for (std::size_t c = begin; c < end; ++c) {
     const std::size_t pair =
         static_cast<std::size_t>(a.left_mask[c]) * phylo::kNumMasks +
         static_cast<std::size_t>(a.right_mask[c]);
@@ -29,12 +28,11 @@ void down_tip_tip(const TipTipArgs& a, std::size_t begin, std::size_t end) {
 void down_tip_tip_scale(const TipTipArgs& a, const ScaleArgs& s,
                         std::size_t begin, std::size_t end) {
   check_down_tt(a, begin, end);
-  check_fused_scale(s, a.out, a.K, a.site_index);
+  check_fused_scale(s, a.out, a.K);
   PLF_DCHECK(a.pair_scaled != nullptr && a.pair_ln != nullptr,
              "tip-tip fused scale: prescaled table required");
   const std::size_t row = a.K * 4;
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const std::size_t c = a.site_index != nullptr ? a.site_index[idx] : idx;
+  for (std::size_t c = begin; c < end; ++c) {
     const std::size_t pair =
         static_cast<std::size_t>(a.left_mask[c]) * phylo::kNumMasks +
         static_cast<std::size_t>(a.right_mask[c]);

@@ -15,8 +15,8 @@
 // Each backend then executes the batch its own way: the base
 // ExecutionBackend::run_plan loops ops through the per-call entries
 // (bit-identical to per-call dispatch by construction), the threaded backend
-// opens one parallel region per level with down+scale fused per site chunk
-// (~3 barriers/node -> 1 barrier/level), and the GPU backend keeps each op's
+// runs the whole plan in one parallel region with down+scale fused per site
+// chunk (~3 barriers/node -> 1 per plan), and the GPU backend keeps each op's
 // CLV block device-resident between the down and scale kernels, coalescing
 // the PCIe round trip. See docs/EXECUTION_PLAN.md.
 #pragma once
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/kernels.hpp"
-#include "core/repeats.hpp"
 #include "phylo/tree.hpp"
 
 namespace plf::core {
@@ -75,13 +74,10 @@ struct PlfOp {
   /// (contract-checked), so a backend may run it per site chunk immediately
   /// after the down/root kernel — rescaling is per-site.
   ScaleArgs scale;
-  /// Sites the kernels iterate: the compacted class count when `repeats` is
-  /// set, else the full pattern count.
+  /// Always the plan's m. Kept only because mc3bench/trace.cpp reads it.
   std::size_t run_m = 0;
-  /// Non-null when the op computes repeat-class representatives only; the
-  /// executor must scatter (scatter_op) after the op's kernels and before
-  /// any later-level op reads this node's CLV.
-  const NodeRepeats* repeats = nullptr;
+  /// Always null. Kept only because mc3bench/trace.cpp reads it.
+  const void* repeats = nullptr;
 };
 
 /// A dependency-leveled batch of PlfOps. Build with add() (any level order),
@@ -89,7 +85,7 @@ struct PlfOp {
 /// engine's postorder insertion order is preserved.
 class PlfPlan {
  public:
-  /// Start a new plan over `n_nodes` tree nodes and `m` dense patterns.
+  /// Start a new plan over `n_nodes` tree nodes and `m` patterns.
   void reset(std::size_t n_nodes, std::size_t m);
 
   void add(const PlfOp& op, std::size_t level);
@@ -134,14 +130,5 @@ class PlfPlan {
 /// plan property tests verify directly.
 std::vector<int> compute_levels(const phylo::Tree& tree,
                                 const std::vector<char>& recompute);
-
-/// Copy each repeat class's representative CLV block and scaler entry to the
-/// class's duplicate sites (representatives are first occurrences, so every
-/// source block is final before it is copied forward).
-void scatter_repeats(const NodeRepeats& nr, std::size_t K, float* cl,
-                     float* ln_scaler);
-
-/// scatter_repeats for a finished op (no-op when the op ran dense).
-void scatter_op(const PlfOp& op);
 
 }  // namespace plf::core

@@ -64,14 +64,6 @@ class GpuPlf final : public core::ExecutionBackend {
 
   std::string name() const override;
 
-  /// Dense-only (site-index indirection would break the three-level grid
-  /// partitioning and the coalesced layout), but plan-batched: run_plan
-  /// fuses each op's scale onto the device-resident down/root output and
-  /// coalesces the PCIe round trips the per-call path pays between kernels.
-  core::Capabilities capabilities() const override {
-    return core::Capabilities::kFusedPlan | core::Capabilities::kBatchedTransfers;
-  }
-
   void run_down(const core::KernelSet& ks, const core::DownArgs& a,
                 std::size_t m) override;
   void run_root(const core::KernelSet& ks, const core::RootArgs& a,
@@ -80,6 +72,9 @@ class GpuPlf final : public core::ExecutionBackend {
                  std::size_t m) override;
   double run_root_reduce(const core::KernelSet& ks,
                          const core::RootReduceArgs& a, std::size_t m) override;
+  /// Plan-batched: fuses each op's scale onto the device-resident down/root
+  /// output and coalesces the PCIe round trips the per-call path pays
+  /// between kernels.
   void run_plan(const core::KernelSet& ks, const core::PlfPlan& plan) override;
 
   const GpuPlfConfig& config() const { return config_; }

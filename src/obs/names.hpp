@@ -18,21 +18,20 @@ inline constexpr const char* kTimerRootReduce = "plf.RootReduce";
 // per-phase; the rest of Remaining is application code outside the engine).
 inline constexpr const char* kTimerTiProbs = "engine.TiProbs";
 inline constexpr const char* kTimerScalerSum = "engine.ScalerSum";
-inline constexpr const char* kTimerRepeatIdentify = "engine.RepeatIdentify";
-inline constexpr const char* kTimerRepeatScatter = "engine.RepeatScatter";
 
 // Plan dispatch (batched engine->backend interface, docs/EXECUTION_PLAN.md).
 // plan.build/plan.execute bracket the engine's two phases; plan.level is the
-// wall time of one dependency level's fused batch on a kFusedPlan backend
-// (the report counts it toward the PLF section — when kernels are fused into
-// one region per level, per-kernel attribution is by design unavailable).
+// wall time of one fused batch: the whole plan's single region on the
+// threaded backend, one dependency level on the GPU backend (the report
+// counts it toward the PLF section — when kernels are fused into one region,
+// per-kernel attribution is by design unavailable).
 inline constexpr const char* kTimerPlanBuild = "plan.build";
 inline constexpr const char* kTimerPlanExecute = "plan.execute";
 inline constexpr const char* kTimerPlanLevel = "plan.level";
 inline constexpr const char* kCounterPlanLevels = "plan.levels";
 inline constexpr const char* kCounterPlanOps = "plan.ops";
 /// Parallel regions NOT opened relative to per-call dispatch (2 per op minus
-/// 1 per level) — the reclaimed spawn/sync the Fig. 12 breakdown attributes.
+/// the plan's 1) — the reclaimed spawn/sync the Fig. 12 breakdown attributes.
 inline constexpr const char* kCounterPlanRegionsSaved = "plan.regions_saved";
 
 // Thread pool (multi-core backend, §3.2).
@@ -80,7 +79,7 @@ inline constexpr const char* kGaugeGpuH2dBytes = "gpu.h2d_bytes";
 inline constexpr const char* kGaugeGpuD2hBytes = "gpu.d2h_bytes";
 
 // Engine statistics published as gauges (PlfEngine::publish_stats folds the
-// PR 2 site-repeat counters into the registry through these).
+// EngineStats counters into the registry through these).
 inline constexpr const char* kGaugeEngineDownCalls = "engine.down_calls";
 inline constexpr const char* kGaugeEngineRootCalls = "engine.root_calls";
 inline constexpr const char* kGaugeEngineScaleCalls = "engine.scale_calls";
@@ -88,16 +87,6 @@ inline constexpr const char* kGaugeEngineReduceCalls = "engine.reduce_calls";
 inline constexpr const char* kGaugeEngineTmBuilds = "engine.tm_builds";
 inline constexpr const char* kGaugeEnginePatternIterations =
     "engine.pattern_iterations";
-inline constexpr const char* kGaugeRepeatDownHitRate =
-    "engine.repeat_down_hit_rate";
-inline constexpr const char* kGaugeRepeatRootHitRate =
-    "engine.repeat_root_hit_rate";
-inline constexpr const char* kGaugeRepeatScaleHitRate =
-    "engine.repeat_scale_hit_rate";
-inline constexpr const char* kGaugeRepeatCompressionRatio =
-    "engine.repeat_compression_ratio";
-inline constexpr const char* kGaugeRepeatRebuildSeconds =
-    "engine.repeat_rebuild_s";
 inline constexpr const char* kGaugeEnginePlanBuilds = "engine.plan_builds";
 inline constexpr const char* kGaugeEnginePlanOps = "engine.plan_ops";
 inline constexpr const char* kGaugeEnginePlanLevels = "engine.plan_levels";

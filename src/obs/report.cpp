@@ -34,7 +34,7 @@ Breakdown build_breakdown(const Snapshot& snapshot, double total_s,
       kernel_share(snapshot, kTimerCondLikeScaler, "CondLikeScaler"),
       kernel_share(snapshot, kTimerRootReduce, "RootReduce"),
       // Plan dispatch on a fused backend runs down/root + scale inside one
-      // region per dependency level: the kernels are deliberately
+      // region per plan (per level on the GPU): the kernels are deliberately
       // indistinguishable there, so the level wall time is its own PLF row
       // (per-call dispatch and the default per-op plan executor keep filling
       // the per-kernel rows above instead).
@@ -44,8 +44,6 @@ Breakdown build_breakdown(const Snapshot& snapshot, double total_s,
 
   b.engine_serial_s = snapshot.timer_total_s(kTimerTiProbs) +
                       snapshot.timer_total_s(kTimerScalerSum) +
-                      snapshot.timer_total_s(kTimerRepeatIdentify) +
-                      snapshot.timer_total_s(kTimerRepeatScatter) +
                       snapshot.timer_total_s(kTimerPlanBuild);
 
   b.transfer_sim_s = snapshot.gauge_value(kGaugeTransferSimSeconds);
@@ -98,7 +96,7 @@ std::string format_breakdown(const Breakdown& b) {
     kernels.row({k.name, std::to_string(k.calls), Table::num(k.seconds, 4),
                  Table::num(k.pct_of_engine, 1)});
   }
-  kernels.row({"(engine serial: TiProbs+scalers+repeats)", "-",
+  kernels.row({"(engine serial: TiProbs+scalers+plan build)", "-",
                Table::num(b.engine_serial_s, 4),
                Table::num(100.0 - b.plf_pct_of_engine, 1)});
 

@@ -38,7 +38,7 @@ struct Breakdown {
   double total_s = 0.0;    ///< wall time the sections are normalized against
 
   std::vector<KernelShare> kernels;  ///< the three PLFs + root reduction
-  double engine_serial_s = 0.0;      ///< TiProbs + scaler sum + repeat work
+  double engine_serial_s = 0.0;      ///< TiProbs + scaler sum + plan build
 
   // Top-level sections (percentages of total_s; sum to 100).
   double plf_s = 0.0;        ///< parallel section: sum of kernel rows

@@ -1,14 +1,10 @@
-// Cross-backend differential harness for the site-repeat and plan-dispatch
-// paths.
+// Cross-backend differential harness for the plan-dispatch path.
 //
-// Properties under test: (a) site-repeat compaction only skips arithmetic
-// whose result is already known, so for any (data, tree, model) the compacted
-// engine must match the dense engine BIT FOR BIT on the same backend and
-// kernel variant — 0 ULP, not "close"; (b) batched PlfPlan dispatch only
-// regroups and fuses the identical per-site kernel work, so a plan-dispatch
-// engine must match its per-call twin bit for bit on every backend × variant
-// × repeats combination, through proposals and rejects. Across backends and variants the
-// summation order changes, so those comparisons get per-backend tolerances
+// Property under test: batched PlfPlan dispatch only regroups and fuses the
+// identical per-site kernel work, so a plan-dispatch engine must match its
+// per-call twin BIT FOR BIT — 0 ULP, not "close" — on every backend × variant
+// combination, through proposals and rejects. Across backends and variants
+// the summation order changes, so those comparisons get per-backend tolerances
 // (ULP bounds on CLV entries, relative bounds on lnL against an independent
 // double-precision reference).
 //
@@ -113,9 +109,9 @@ Dataset make_dataset(std::uint64_t seed, std::size_t K, double branch_scale) {
   phylo::SubstitutionModel model(d.params);
   seqgen::SequenceEvolver ev(d.tree, model);
   // Keep the raw columns instead of compressing to distinct patterns:
-  // repeated columns are exactly what the site-repeat machinery must find
-  // (and near-identical sequences at the small branch scale would otherwise
-  // collapse to a handful of patterns with nothing left to repeat).
+  // near-identical sequences at the small branch scale would otherwise
+  // collapse to a handful of patterns, and duplicate-heavy data is the
+  // realistic shape of an uncompressed alignment.
   const phylo::Alignment aln = ev.evolve(240, rng);
   std::vector<std::vector<phylo::StateMask>> cols(aln.n_columns());
   for (std::size_t c = 0; c < aln.n_columns(); ++c) {
@@ -132,13 +128,12 @@ using Param = std::tuple<BackendKind, KernelVariant>;
 
 class BackendDiffTest : public ::testing::TestWithParam<Param> {};
 
-TEST_P(BackendDiffTest, RepeatsOnOffAgreeBitwiseAndMatchReference) {
+TEST_P(BackendDiffTest, PerCallAndPlanAgreeBitwiseAndMatchReference) {
   const BackendKind kind = std::get<0>(GetParam());
   const KernelVariant variant = std::get<1>(GetParam());
 
-  // Branch-length extremes: near-zero (sequences nearly identical — repeat
-  // heaven, and CLVs hug the tip partials), typical, and saturated (CLVs
-  // converge toward pi; classes barely repeat at upper nodes).
+  // Branch-length extremes: near-zero (sequences nearly identical, and CLVs
+  // hug the tip partials), typical, and saturated (CLVs converge toward pi).
   for (const double scale : {0.0005, 0.1, 2.5}) {
     for (const std::size_t K : {std::size_t{1}, std::size_t{4}}) {
       for (const std::uint64_t seed : {11ull, 23ull}) {
@@ -149,153 +144,93 @@ TEST_P(BackendDiffTest, RepeatsOnOffAgreeBitwiseAndMatchReference) {
         const Dataset d = make_dataset(seed, K, scale);
         const std::size_t m = d.data.n_patterns();
 
-        BackendHolder h_off = BackendHolder::make(kind);
-        BackendHolder h_on = BackendHolder::make(kind);
-        PlfEngine dense(d.data, d.params, d.tree, *h_off.backend, variant,
-                        SiteRepeatsMode::kOff, DispatchMode::kPerCall);
-        PlfEngine compact(d.data, d.params, d.tree, *h_on.backend, variant,
-                          SiteRepeatsMode::kOn, DispatchMode::kPerCall);
+        // Twins: same backend kind, same variant — only the dispatch path
+        // differs. Every comparison between them below is exact (EXPECT_EQ,
+        // memcmp), which is the acceptance bar for the PlfPlan refactor:
+        // batching and fusing must not move a single bit on any backend.
+        BackendHolder h_call = BackendHolder::make(kind);
+        BackendHolder h_plan = BackendHolder::make(kind);
+        PlfEngine percall(d.data, d.params, d.tree, *h_call.backend, variant,
+                          DispatchMode::kPerCall);
+        PlfEngine plan(d.data, d.params, d.tree, *h_plan.backend, variant,
+                       DispatchMode::kPlan);
 
-        // Plan-dispatch twins: same backend kind, same variant, same repeat
-        // mode — only the dispatch path differs. Every comparison between a
-        // per-call engine and its twin below is exact (EXPECT_EQ, memcmp),
-        // which is the acceptance bar for the PlfPlan refactor: batching and
-        // fusing must not move a single bit on any backend.
-        BackendHolder h_off_plan = BackendHolder::make(kind);
-        BackendHolder h_on_plan = BackendHolder::make(kind);
-        PlfEngine dense_plan(d.data, d.params, d.tree, *h_off_plan.backend,
-                             variant, SiteRepeatsMode::kOff,
-                             DispatchMode::kPlan);
-        PlfEngine compact_plan(d.data, d.params, d.tree, *h_on_plan.backend,
-                               variant, SiteRepeatsMode::kOn,
-                               DispatchMode::kPlan);
-
-        const double lnl_dense = dense.log_likelihood();
-        const double lnl_compact = compact.log_likelihood();
-
-        // Same backend, same variant: bit-identical lnL and root CLVs.
-        EXPECT_EQ(lnl_dense, lnl_compact);
-        EXPECT_EQ(std::memcmp(dense.node_cl(dense.tree().root()),
-                              compact.node_cl(compact.tree().root()),
+        // Bit-identical lnL and root CLVs, and the plan path must actually
+        // have built plans.
+        const double lnl = percall.log_likelihood();
+        EXPECT_EQ(lnl, plan.log_likelihood());
+        EXPECT_EQ(std::memcmp(percall.node_cl(percall.tree().root()),
+                              plan.node_cl(plan.tree().root()),
                               m * K * 4 * sizeof(float)),
                   0);
-
-        // Per-call vs plan: bit-identical lnL and root CLVs, repeats on and
-        // off alike, and the plan path must actually have built plans.
-        EXPECT_EQ(lnl_dense, dense_plan.log_likelihood());
-        EXPECT_EQ(lnl_compact, compact_plan.log_likelihood());
-        EXPECT_EQ(std::memcmp(dense.node_cl(dense.tree().root()),
-                              dense_plan.node_cl(dense_plan.tree().root()),
-                              m * K * 4 * sizeof(float)),
-                  0);
-        EXPECT_EQ(std::memcmp(compact.node_cl(compact.tree().root()),
-                              compact_plan.node_cl(compact_plan.tree().root()),
-                              m * K * 4 * sizeof(float)),
-                  0);
-        EXPECT_EQ(dense.stats().plan_builds, 0u);
-        EXPECT_GT(dense_plan.stats().plan_builds, 0u);
-        EXPECT_GT(dense_plan.stats().plan_ops, 0u);
+        EXPECT_EQ(percall.stats().plan_builds, 0u);
+        EXPECT_GT(plan.stats().plan_builds, 0u);
+        EXPECT_GT(plan.stats().plan_ops, 0u);
         // Identical work, batched: the kernel-call accounting must agree.
-        EXPECT_EQ(dense.stats().pattern_iterations,
-                  dense_plan.stats().pattern_iterations);
-        EXPECT_EQ(compact.stats().pattern_iterations,
-                  compact_plan.stats().pattern_iterations);
+        EXPECT_EQ(percall.stats().pattern_iterations,
+                  plan.stats().pattern_iterations);
 
         // Tip specialization: on tip-capable backends the plan engine must
         // have routed cherries through the pair-table gather (every binary
         // tree with more than one internal node has a cherry below the
         // root), while the per-call engine stays fully generic — it is the
         // exact A/B baseline the bitwise comparisons above rely on.
-        EXPECT_EQ(dense.stats().tip_tt_ops, 0u);
-        EXPECT_EQ(dense.stats().tip_ti_ops, 0u);
-        EXPECT_EQ(dense.stats().tip_tables_built, 0u);
-        if (has_capability(h_off_plan.backend->capabilities(),
+        EXPECT_EQ(percall.stats().tip_tt_ops, 0u);
+        EXPECT_EQ(percall.stats().tip_ti_ops, 0u);
+        EXPECT_EQ(percall.stats().tip_tables_built, 0u);
+        if (has_capability(h_plan.backend->capabilities(),
                            Capabilities::kTipKernels)) {
-          EXPECT_GT(dense_plan.stats().tip_tt_ops, 0u);
-          EXPECT_GT(dense_plan.stats().tip_tables_built, 0u);
-          EXPECT_GT(compact_plan.stats().tip_tt_ops, 0u);
+          EXPECT_GT(plan.stats().tip_tt_ops, 0u);
+          EXPECT_GT(plan.stats().tip_tables_built, 0u);
         } else {
-          EXPECT_EQ(dense_plan.stats().tip_tt_ops, 0u);
-          EXPECT_EQ(dense_plan.stats().tip_tables_built, 0u);
-        }
-
-        // The compacted path must actually have run where supported, and
-        // must have fallen back (not silently diverged) where not.
-        if (has_capability(h_on.backend->capabilities(),
-                           Capabilities::kSiteRepeats)) {
-          ASSERT_TRUE(compact.site_repeats_enabled());
-          EXPECT_GT(compact.stats().repeat_down_hits, 0u);
-          EXPECT_GT(compact.stats().repeat_compression_ratio(), 1.0);
-          // Compacted kernels iterate fewer sites than the dense engine.
-          EXPECT_LT(compact.stats().pattern_iterations,
-                    dense.stats().pattern_iterations);
-        } else {
-          EXPECT_FALSE(compact.site_repeats_enabled());
-          EXPECT_EQ(compact.stats().repeat_down_hits, 0u);
+          EXPECT_EQ(plan.stats().tip_tt_ops, 0u);
+          EXPECT_EQ(plan.stats().tip_tables_built, 0u);
         }
 
         // Both must agree with the independent double-precision pruning
         // reference within the backend's tolerance.
-        const double tol = std::abs(d.ref_lnl) * lnl_rel_tol(kind);
-        EXPECT_NEAR(lnl_dense, d.ref_lnl, tol);
-        EXPECT_NEAR(lnl_compact, d.ref_lnl, tol);
+        EXPECT_NEAR(lnl, d.ref_lnl, std::abs(d.ref_lnl) * lnl_rel_tol(kind));
 
         // Mid-run differential: a branch-length move plus an NNI proposal
-        // exercises class invalidation (and, for the plan engines, partial
-        // plans plus the incremental scaler-total path) under this backend;
-        // all four engines must stay bitwise-locked through it.
-        for (PlfEngine* e :
-             {&dense, &compact, &dense_plan, &compact_plan}) {
+        // exercises partial plans plus the incremental scaler-total path
+        // under this backend; the twins must stay bitwise-locked through it.
+        for (PlfEngine* e : {&percall, &plan}) {
           e->set_branch_length(e->tree().leaf_of(1), 1.7);
         }
-        const auto edges = dense.tree().internal_edge_nodes();
+        const auto edges = percall.tree().internal_edge_nodes();
         ASSERT_FALSE(edges.empty());
-        for (PlfEngine* e :
-             {&dense, &compact, &dense_plan, &compact_plan}) {
+        for (PlfEngine* e : {&percall, &plan}) {
           e->begin_proposal();
           e->apply_nni(edges.front(), true);
         }
-        EXPECT_EQ(dense.log_likelihood(), compact.log_likelihood());
-        EXPECT_EQ(dense.log_likelihood(), dense_plan.log_likelihood());
-        EXPECT_EQ(compact.log_likelihood(), compact_plan.log_likelihood());
-        for (PlfEngine* e :
-             {&dense, &compact, &dense_plan, &compact_plan}) {
-          e->reject();
-        }
-        EXPECT_EQ(dense.log_likelihood(), compact.log_likelihood());
-        EXPECT_EQ(dense.log_likelihood(), dense_plan.log_likelihood());
-        EXPECT_EQ(compact.log_likelihood(), compact_plan.log_likelihood());
+        EXPECT_EQ(percall.log_likelihood(), plan.log_likelihood());
+        for (PlfEngine* e : {&percall, &plan}) e->reject();
+        EXPECT_EQ(percall.log_likelihood(), plan.log_likelihood());
       }
     }
   }
 }
 
 // Scalar and SIMD variants reorder the per-entry dot products, so their CLVs
-// are not bit-identical — but they must stay within a small ULP envelope,
-// with repeats on and off alike.
+// are not bit-identical — but they must stay within a small ULP envelope.
 TEST(BackendDiffCrossVariantTest, ScalarVsSimdColWithinUlpEnvelope) {
   constexpr std::uint32_t kMaxUlp = 256;
   for (const double scale : {0.0005, 0.1, 2.5}) {
+    SCOPED_TRACE(::testing::Message() << "scale=" << scale);
     const Dataset d = make_dataset(31, 4, scale);
     const std::size_t m = d.data.n_patterns();
-    for (const auto mode : {SiteRepeatsMode::kOff, SiteRepeatsMode::kOn}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "scale=" << scale << " repeats=" << to_string(mode));
-      SerialBackend b1, b2;
-      PlfEngine scalar(d.data, d.params, d.tree, b1, KernelVariant::kScalar,
-                       mode);
-      PlfEngine simd(d.data, d.params, d.tree, b2, KernelVariant::kSimdCol,
-                     mode);
-      EXPECT_NEAR(scalar.log_likelihood(), simd.log_likelihood(),
-                  std::abs(d.ref_lnl) * 2e-5);
-      const float* a = scalar.node_cl(scalar.tree().root());
-      const float* b = simd.node_cl(simd.tree().root());
-      std::uint32_t worst = 0;
-      for (std::size_t i = 0; i < m * 4 * 4; ++i) {
-        worst = std::max(worst, ulp_distance(a[i], b[i]));
-      }
-      EXPECT_LE(worst, kMaxUlp);
+    SerialBackend b1, b2;
+    PlfEngine scalar(d.data, d.params, d.tree, b1, KernelVariant::kScalar);
+    PlfEngine simd(d.data, d.params, d.tree, b2, KernelVariant::kSimdCol);
+    EXPECT_NEAR(scalar.log_likelihood(), simd.log_likelihood(),
+                std::abs(d.ref_lnl) * 2e-5);
+    const float* a = scalar.node_cl(scalar.tree().root());
+    const float* b = simd.node_cl(simd.tree().root());
+    std::uint32_t worst = 0;
+    for (std::size_t i = 0; i < m * 4 * 4; ++i) {
+      worst = std::max(worst, ulp_distance(a[i], b[i]));
     }
+    EXPECT_LE(worst, kMaxUlp);
   }
 }
 
@@ -304,37 +239,32 @@ TEST(BackendDiffCrossVariantTest, ScalarVsSimdColWithinUlpEnvelope) {
 TEST(BackendDiffCrossBackendTest, SerialVsThreadedBitIdentical) {
   const Dataset d = make_dataset(47, 4, 0.1);
   const std::size_t m = d.data.n_patterns();
-  for (const auto mode : {SiteRepeatsMode::kOff, SiteRepeatsMode::kOn}) {
-    SCOPED_TRACE(to_string(mode));
-    BackendHolder hs = BackendHolder::make(BackendKind::kSerial);
-    BackendHolder ht = BackendHolder::make(BackendKind::kThreaded);
-    PlfEngine serial(d.data, d.params, d.tree, *hs.backend,
-                     KernelVariant::kSimdCol, mode);
-    PlfEngine threaded(d.data, d.params, d.tree, *ht.backend,
-                       KernelVariant::kSimdCol, mode);
-    serial.log_likelihood();
-    threaded.log_likelihood();
-    EXPECT_EQ(std::memcmp(serial.node_cl(serial.tree().root()),
-                          threaded.node_cl(threaded.tree().root()),
-                          m * 4 * 4 * sizeof(float)),
-              0);
-  }
+  BackendHolder hs = BackendHolder::make(BackendKind::kSerial);
+  BackendHolder ht = BackendHolder::make(BackendKind::kThreaded);
+  PlfEngine serial(d.data, d.params, d.tree, *hs.backend);
+  PlfEngine threaded(d.data, d.params, d.tree, *ht.backend);
+  serial.log_likelihood();
+  threaded.log_likelihood();
+  EXPECT_EQ(std::memcmp(serial.node_cl(serial.tree().root()),
+                        threaded.node_cl(threaded.tree().root()),
+                        m * 4 * 4 * sizeof(float)),
+            0);
 }
 
 // --- budgeted CLV arena differential ----------------------------------------
 //
 // A budgeted engine rematerializes evicted CLVs through the same kernels the
 // unbudgeted twin used to compute them, so eviction must not move a single
-// bit on ANY backend, in EITHER dispatch mode, repeats on or off. The twins'
+// bit on ANY backend, in EITHER dispatch mode. The twins'
 // kernel-call accounting legitimately differs (rematerialization is extra
 // work), so only lnL and CLV bits are compared — never stats.
 
-using BudgetParam = std::tuple<BackendKind, DispatchMode, SiteRepeatsMode>;
+using BudgetParam = std::tuple<BackendKind, DispatchMode>;
 
 class BudgetedDiffTest : public ::testing::TestWithParam<BudgetParam> {};
 
 TEST_P(BudgetedDiffTest, HalfBudgetBitIdenticalToUnbudgetedTwin) {
-  const auto [kind, dispatch, mode] = GetParam();
+  const auto [kind, dispatch] = GetParam();
   const Dataset d = make_dataset(59, 4, 0.1);
   const std::size_t m = d.data.n_patterns();
 
@@ -344,9 +274,9 @@ TEST_P(BudgetedDiffTest, HalfBudgetBitIdenticalToUnbudgetedTwin) {
   half.kind = ClvBudget::Kind::kFraction;
   half.fraction = 0.5;  // the minimum feasible working set
   PlfEngine budgeted(d.data, d.params, d.tree, *h_budget.backend,
-                     KernelVariant::kSimdCol, mode, dispatch, half);
+                     KernelVariant::kSimdCol, dispatch, half);
   PlfEngine full(d.data, d.params, d.tree, *h_full.backend,
-                 KernelVariant::kSimdCol, mode, dispatch);
+                 KernelVariant::kSimdCol, dispatch);
 
   EXPECT_EQ(budgeted.log_likelihood(), full.log_likelihood());
 
@@ -400,12 +330,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded,
                           BackendKind::kCell, BackendKind::kGpu),
-        ::testing::Values(DispatchMode::kPerCall, DispatchMode::kPlan),
-        ::testing::Values(SiteRepeatsMode::kOff, SiteRepeatsMode::kOn)),
+        ::testing::Values(DispatchMode::kPerCall, DispatchMode::kPlan)),
     [](const ::testing::TestParamInfo<BudgetParam>& info) {
       return std::string(name_of(std::get<0>(info.param))) + "_" +
-             to_string(std::get<1>(info.param)) + "_repeats_" +
-             (std::get<2>(info.param) == SiteRepeatsMode::kOn ? "on" : "off");
+             to_string(std::get<1>(info.param));
     });
 
 INSTANTIATE_TEST_SUITE_P(

@@ -81,8 +81,7 @@ TEST(CheckpointTest, EngineChainRoundTripResumesBitExact) {
     const auto make_engine = [&] {
       return std::make_unique<core::PlfEngine>(
           inst.data, inst.params, inst.tree, backend,
-          core::KernelVariant::kSimdCol, core::SiteRepeatsMode::kOn,
-          c.dispatch, budget);
+          core::KernelVariant::kSimdCol, c.dispatch, budget);
     };
     McmcOptions mo;
     mo.seed = 33;

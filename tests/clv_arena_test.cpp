@@ -264,16 +264,15 @@ struct BackendHolder {
 /// accept/reject) and require bit-identical lnL at every evaluation, a
 /// respected budget at every step, and — for tight budgets — actual
 /// evictions, proving the recompute path ran.
-void twin_storm(BackendKind kind, SiteRepeatsMode mode, ClvBudget budget,
-                bool expect_evictions, std::uint64_t seed) {
+void twin_storm(BackendKind kind, ClvBudget budget, bool expect_evictions,
+                std::uint64_t seed) {
   const Dataset d = make_dataset(seed, 10);
   BackendHolder h_budget = BackendHolder::make(kind);
   BackendHolder h_full = BackendHolder::make(kind);
   PlfEngine budgeted(d.data, d.params, d.tree, *h_budget.backend,
-                     KernelVariant::kSimdCol, mode, DispatchMode::kPlan,
-                     budget);
+                     KernelVariant::kSimdCol, DispatchMode::kPlan, budget);
   PlfEngine full(d.data, d.params, d.tree, *h_full.backend,
-                 KernelVariant::kSimdCol, mode, DispatchMode::kPlan);
+                 KernelVariant::kSimdCol, DispatchMode::kPlan);
 
   ASSERT_LE(budgeted.arena().budget_bytes(), full.arena().budget_bytes());
   EXPECT_EQ(budgeted.log_likelihood(), full.log_likelihood());
@@ -371,40 +370,33 @@ ClvBudget fraction_budget(double f) {
   return b;
 }
 
-using StormParam = std::tuple<BackendKind, SiteRepeatsMode>;
-
-class ClvArenaStormTest : public ::testing::TestWithParam<StormParam> {};
+class ClvArenaStormTest : public ::testing::TestWithParam<BackendKind> {};
 
 TEST_P(ClvArenaStormTest, BudgetSweepBitIdenticalToUnbudgetedTwin) {
-  const auto [kind, mode] = GetParam();
+  const BackendKind kind = GetParam();
   // 100% holds everything: no evictions required. 0.75 and 0.5 must evict;
   // 0.5 is exactly the feasibility floor (one buffer per internal node).
-  twin_storm(kind, mode, fraction_budget(1.0), false, 101);
-  twin_storm(kind, mode, fraction_budget(0.75), true, 211);
-  twin_storm(kind, mode, fraction_budget(0.5), true, 307);
+  twin_storm(kind, fraction_budget(1.0), false, 101);
+  twin_storm(kind, fraction_budget(0.75), true, 211);
+  twin_storm(kind, fraction_budget(0.5), true, 307);
 }
 
 TEST_P(ClvArenaStormTest, MinimumFeasibleByteBudgetClampsAndMatches) {
-  const auto [kind, mode] = GetParam();
+  const BackendKind kind = GetParam();
   // 1 byte clamps up to the minimum feasible working set — the harshest
   // legal budget, equivalent to fraction 0.5.
   ClvBudget b;
   b.kind = ClvBudget::Kind::kBytes;
   b.bytes = 1;
-  twin_storm(kind, mode, b, true, 401);
+  twin_storm(kind, b, true, 401);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, ClvArenaStormTest,
-    ::testing::Combine(
-        ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded),
-        ::testing::Values(SiteRepeatsMode::kOff, SiteRepeatsMode::kOn)),
-    [](const ::testing::TestParamInfo<StormParam>& info) {
-      return std::string(std::get<0>(info.param) == BackendKind::kSerial
-                             ? "serial"
-                             : "threaded") +
-             "_repeats_" +
-             (std::get<1>(info.param) == SiteRepeatsMode::kOn ? "on" : "off");
+    ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded),
+    [](const ::testing::TestParamInfo<BackendKind>& info) {
+      return std::string(info.param == BackendKind::kSerial ? "serial"
+                                                            : "threaded");
     });
 
 TEST(ClvArenaEngineTest, TinyBudgetClampsToOneBufferPerInternalNode) {
@@ -414,7 +406,7 @@ TEST(ClvArenaEngineTest, TinyBudgetClampsToOneBufferPerInternalNode) {
   b.kind = ClvBudget::Kind::kBytes;
   b.bytes = 1;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan, b);
+              DispatchMode::kPlan, b);
   std::size_t n_internal = 0;
   for (std::size_t id = 0; id < d.tree.n_nodes(); ++id) {
     if (!d.tree.node(static_cast<int>(id)).is_leaf()) ++n_internal;
@@ -447,9 +439,9 @@ TEST(ClvArenaEngineTest, EvictedAncestorIsRematerializedTransparently) {
   const Dataset d = make_dataset(7, 10);
   SerialBackend b1, b2;
   PlfEngine e(d.data, d.params, d.tree, b1, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan, fraction_budget(1.0));
+              DispatchMode::kPlan, fraction_budget(1.0));
   PlfEngine twin(d.data, d.params, d.tree, b2, KernelVariant::kSimdCol,
-                 SiteRepeatsMode::kOff, DispatchMode::kPlan);
+                 DispatchMode::kPlan);
   EXPECT_EQ(e.log_likelihood(), twin.log_likelihood());
 
   // Evict an internal node OFF the dirty path: the next evaluation only

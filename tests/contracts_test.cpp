@@ -235,59 +235,6 @@ TEST(KernelContractDeathTest, AmbiguousChildTripsEntryContract) {
                "contract violation");
 }
 
-TEST(KernelContractTest, SiteIndexedRunTouchesOnlyIndexedSites) {
-  DownFixture f;
-  DownArgs a = f.args();
-  const std::uint32_t idx[4] = {0, 2, 5, 7};
-  a.site_index = idx;
-  a.n_sites = DownFixture::kPatterns;
-  core::kernels(KernelVariant::kScalar).down(a, 0, 4);
-  for (std::size_t c = 0; c < DownFixture::kPatterns; ++c) {
-    const bool indexed = c == 0 || c == 2 || c == 5 || c == 7;
-    for (std::size_t j = 0; j < DownFixture::kCats * 4; ++j) {
-      const float x = f.out[c * DownFixture::kCats * 4 + j];
-      if (indexed) {
-        EXPECT_GT(x, 0.0f) << "site " << c;
-      } else {
-        EXPECT_EQ(x, 0.0f) << "site " << c;  // skipped: scatter's job
-      }
-    }
-  }
-}
-
-TEST(KernelContractTest, OutOfRangeRepeatIndexTripsEntryContract) {
-  // The bound check is a PLF_CHECK (always on, throwing): the index vector
-  // crosses the repeats-subsystem/kernel trust boundary in every build mode,
-  // so a corrupt index must never reach the CLV gathers.
-  DownFixture f;
-  DownArgs a = f.args();
-  const std::uint32_t idx[4] = {0, 1, 2, 99};  // 99 >= n_sites
-  a.site_index = idx;
-  a.n_sites = DownFixture::kPatterns;
-  try {
-    core::kernels(KernelVariant::kScalar).down(a, 0, 4);
-    FAIL() << "out-of-range site_index did not throw";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("repeat index out of range"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(KernelContractDeathTest, NonIncreasingRepeatIndexTripsCheckedContract) {
-  if (!contracts_active()) {
-    GTEST_SKIP() << "library built without checked contracts";
-  }
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  DownFixture f;
-  DownArgs a = f.args();
-  const std::uint32_t idx[4] = {0, 3, 2, 7};  // not strictly increasing
-  a.site_index = idx;
-  a.n_sites = DownFixture::kPatterns;
-  EXPECT_DEATH(core::kernels(KernelVariant::kScalar).down(a, 0, 4),
-               "strictly increasing");
-}
-
 /// Minimal valid tip×tip (cherry) argument pack: all 4-bit state codes in
 /// range, pair tables sized for the full 16×16 mask space.
 struct TipTipFixture {
@@ -315,7 +262,6 @@ struct TipTipFixture {
     a.out = out.data();
     a.K = kCats;
     a.table_categories = kCats;
-    a.n_sites = kPatterns;
     return a;
   }
 };
@@ -360,7 +306,7 @@ TEST(FusedScaleContractDeathTest, NonAliasingScaleBlockIsRejected) {
   s.cl = other.data();  // some other node's CLV, not this op's down output
   s.ln_scaler = scaler.data();
   s.K = DownFixture::kCats;
-  EXPECT_DEATH(core::detail::check_fused_scale(s, d.out, d.K, d.site_index),
+  EXPECT_DEATH(core::detail::check_fused_scale(s, d.out, d.K),
                "must alias the down output");
 }
 
@@ -459,7 +405,8 @@ TEST(PlanContractDeathTest, OversizedOpIsRejected) {
   op.run_m = PlanFixture::kPatterns + 1;
   plan.add(op, 0);
   plan.finalize();
-  EXPECT_DEATH(core::detail::check_plan(plan), "exceeds pattern count");
+  EXPECT_DEATH(core::detail::check_plan(plan),
+               "must equal the plan's pattern count");
 }
 
 TEST(PlanContractDeathTest, TipTipOpWritingForeignOutputIsRejected) {

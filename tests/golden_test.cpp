@@ -8,11 +8,13 @@
 // (xoshiro256** is bit-specified).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "core/backend.hpp"
 #include "core/engine.hpp"
 #include "mcmc/chain.hpp"
+#include "par/thread_pool.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
@@ -48,10 +50,13 @@ TEST(GoldenTest, FixedInstanceLikelihood) {
 }
 
 // Dup-heavy fixture: every distinct column appears three times (weight 1
-// each, so the global pattern compression cannot fold them — only the
-// site-repeat machinery can). Locks both the lnL value and the promise that
-// the compacted default (kAuto) is bit-identical to the dense path.
-TEST(GoldenTest, DupHeavyInstanceLikelihood) {
+// each, so the global pattern compression cannot fold them).
+struct DupHeavyInstance {
+  phylo::Tree tree;
+  phylo::PatternMatrix data;
+};
+
+DupHeavyInstance dup_heavy_instance() {
   Rng rng(12003);
   auto tree = seqgen::yule_tree(6, rng, 1.0, 0.15);
   std::vector<std::vector<phylo::StateMask>> cols;
@@ -60,23 +65,49 @@ TEST(GoldenTest, DupHeavyInstanceLikelihood) {
     for (auto& m : col) m = phylo::state_to_mask(rng.below(4));
     for (int rep = 0; rep < 3; ++rep) cols.push_back(col);  // 2/3 duplicates
   }
-  const auto data = phylo::PatternMatrix::from_patterns(
+  auto data = phylo::PatternMatrix::from_patterns(
       tree.taxon_names(), cols, std::vector<std::uint32_t>(cols.size(), 1));
-  ASSERT_EQ(data.n_patterns(), 120u);
+  return {std::move(tree), std::move(data)};
+}
 
-  auto params = seqgen::default_gtr_params();
-  core::SerialBackend b_auto, b_off;
-  core::PlfEngine e(data, params, tree, b_auto, core::KernelVariant::kScalar);
-  core::PlfEngine dense(data, params, tree, b_off,
-                        core::KernelVariant::kScalar,
-                        core::SiteRepeatsMode::kOff);
+// Locks the lnL value on the dense path, and that every duplicate column's
+// root CLV row is bit-identical to its first occurrence's.
+TEST(GoldenTest, DupHeavyInstanceLikelihood) {
+  const DupHeavyInstance inst = dup_heavy_instance();
+  ASSERT_EQ(inst.data.n_patterns(), 120u);
+
+  core::SerialBackend b;
+  core::PlfEngine e(inst.data, seqgen::default_gtr_params(), inst.tree, b,
+                    core::KernelVariant::kScalar);
   EXPECT_NEAR(e.log_likelihood(), -1374.4493811520, 2e-3);
-  EXPECT_EQ(e.log_likelihood(), dense.log_likelihood());
-  // The default (auto) mode must have taken the compacted path and realized
-  // at least the 3x duplication this fixture bakes in.
-  EXPECT_TRUE(e.site_repeats_enabled());
-  EXPECT_GT(e.stats().repeat_down_hits, 0u);
-  EXPECT_GE(e.stats().repeat_compression_ratio(), 3.0);
+  const float* root = e.node_cl(e.tree().root());
+  const std::size_t row = 4 * 4;  // K = 4 rate categories x 4 states
+  for (std::size_t c = 0; c < inst.data.n_patterns(); ++c) {
+    const std::size_t first = c - c % 3;
+    EXPECT_EQ(std::memcmp(root + c * row, root + first * row,
+                          row * sizeof(float)),
+              0)
+        << "site " << c;
+  }
+}
+
+// A library-default engine on the threaded backend runs a whole plan as ONE
+// pool region, whatever the data's duplicate structure; the root reduction
+// is the evaluation's only other region.
+TEST(GoldenTest, DupHeavyFullPlanRunsAsOnePoolRegion) {
+  const DupHeavyInstance inst = dup_heavy_instance();
+  const phylo::GtrParams params = seqgen::default_gtr_params();
+  par::ThreadPool pool(3);
+  core::ThreadedBackend threaded(pool);
+  core::PlfEngine e(inst.data, params, inst.tree, threaded);
+  e.log_likelihood();
+
+  e.set_model(params);  // dirties every internal node
+  pool.reset_stats();
+  e.log_likelihood();
+  EXPECT_EQ(e.last_plan().n_ops(), inst.tree.n_internal());
+  EXPECT_GT(e.last_plan().n_levels(), 1u);
+  EXPECT_EQ(pool.stats().regions, 2u);  // the plan + the root reduction
 }
 
 TEST(GoldenTest, FixedSeedMcmcTrajectory) {

@@ -144,66 +144,11 @@ TEST(ParStressTest, BarrierInsideParallelForRegions) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(ParStressTest, RepeatCompactedEngineUnderOversubscription) {
-  // Site-repeat compaction hands every worker thread the SAME read-only
-  // index vector (NodeRepeats::unique_sites) while they write disjoint CLV
-  // ranges; the scatter then runs on the caller thread after the pool's
-  // end-of-region barrier. Oversubscribed repeated evaluations give TSan a
-  // dense interleaving of those shared reads; under plain presets this
-  // doubles as a bitwise on-vs-off equivalence check.
-  // Both engines run on the SAME oversubscribed pool: the threaded root
-  // reduce fixes its summation order per backend configuration, so the
-  // compacted and dense engines stay bit-comparable.
-  ThreadPool pool(kThreads);
-  core::ThreadedBackend threaded(pool);
-
-  Rng rng(4242);
-  // Short branches: sequences stay similar, so repeat classes are plentiful
-  // and the compacted path is guaranteed to engage.
-  auto tree = seqgen::yule_tree(12, rng, 1.0, 0.05);
-  auto params = seqgen::default_gtr_params();
-  phylo::SubstitutionModel model(params);
-  seqgen::SequenceEvolver ev(tree, model);
-  auto data = phylo::PatternMatrix::compress(ev.evolve(600, rng));
-
-  core::PlfEngine on(data, params, tree, threaded,
-                     core::KernelVariant::kSimdCol,
-                     core::SiteRepeatsMode::kOn);
-  core::PlfEngine off(data, params, tree, threaded,
-                      core::KernelVariant::kSimdCol,
-                      core::SiteRepeatsMode::kOff);
-  ASSERT_TRUE(on.site_repeats_enabled());
-  EXPECT_EQ(on.log_likelihood(), off.log_likelihood());
-
-  // Keep the pool busy re-running compacted kernels: branch moves recompute
-  // root paths, NNIs additionally force class re-identification.
-  const auto edges = on.tree().internal_edge_nodes();
-  ASSERT_FALSE(edges.empty());
-  for (int round = 0; round < 12; ++round) {
-    const int leaf = on.tree().leaf_of(round % 12);
-    const double len = 0.02 + 0.01 * round;
-    on.set_branch_length(leaf, len);
-    off.set_branch_length(leaf, len);
-    if (round % 3 == 0) {
-      const int v = edges[static_cast<std::size_t>(round) % edges.size()];
-      on.begin_proposal();
-      off.begin_proposal();
-      on.apply_nni(v, round % 2 == 0);
-      off.apply_nni(v, round % 2 == 0);
-      EXPECT_EQ(on.log_likelihood(), off.log_likelihood());
-      on.reject();
-      off.reject();
-    }
-    EXPECT_EQ(on.log_likelihood(), off.log_likelihood());
-  }
-  EXPECT_GT(on.stats().repeat_down_hits, 0u);
-}
-
 TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
-  // ThreadedBackend::run_plan opens one fused parallel region per dependency
-  // level and records plan.* counters/timers into the GLOBAL registry from
-  // the calling thread, while 8 oversubscribed workers execute the fused
-  // down+scale chunks. A concurrent flusher thread snapshots that registry
+  // ThreadedBackend::run_plan opens one fused parallel region per plan and
+  // records plan.* counters/timers into the GLOBAL registry from the calling
+  // thread, while 8 oversubscribed workers execute the fused down+scale
+  // chunks. A concurrent flusher thread snapshots that registry
   // the whole time, and the engine publishes its gauge stats between
   // evaluations — the exact writer mix a live profiling run produces. Under
   // TSan this checks the region-boundary and registry-shard edges of the
@@ -221,10 +166,9 @@ TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
 
   core::PlfEngine plan(data, params, tree, threaded,
                        core::KernelVariant::kSimdCol,
-                       core::SiteRepeatsMode::kOn, core::DispatchMode::kPlan);
+                       core::DispatchMode::kPlan);
   core::PlfEngine percall(data, params, tree, threaded,
                           core::KernelVariant::kSimdCol,
-                          core::SiteRepeatsMode::kOn,
                           core::DispatchMode::kPerCall);
 
   std::atomic<bool> stop{false};
@@ -287,12 +231,11 @@ TEST(ParStressTest, BudgetedArenaHammeredWhileMetricsFlusherReads) {
 
   core::PlfEngine budgeted(data, params, tree, threaded,
                            core::KernelVariant::kSimdCol,
-                           core::SiteRepeatsMode::kOn,
                            core::DispatchMode::kPlan,
                            core::clv_budget_from_string("0.5"));
   core::PlfEngine full(data, params, tree, threaded,
                        core::KernelVariant::kSimdCol,
-                       core::SiteRepeatsMode::kOn, core::DispatchMode::kPlan);
+                       core::DispatchMode::kPlan);
 
   std::atomic<bool> stop{false};
   std::thread flusher([&] {
@@ -365,10 +308,9 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
 
   core::PlfEngine plan(data, params, tree, threaded,
                        core::KernelVariant::kSimdCol,
-                       core::SiteRepeatsMode::kOff, core::DispatchMode::kPlan);
+                       core::DispatchMode::kPlan);
   core::PlfEngine percall(data, params, tree, threaded,
                           core::KernelVariant::kSimdCol,
-                          core::SiteRepeatsMode::kOff,
                           core::DispatchMode::kPerCall);
   ASSERT_TRUE(plan.tip_kernels_enabled());
 
@@ -438,11 +380,10 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
   for (std::size_t i = 0; i < kInstances; ++i) {
     engines.push_back(std::make_unique<core::PlfEngine>(
         data, params, tree, threaded, core::KernelVariant::kSimdCol,
-        core::SiteRepeatsMode::kOn, core::DispatchMode::kPlan));
+        core::DispatchMode::kPlan));
   }
   core::PlfEngine reference(data, params, tree, threaded,
                             core::KernelVariant::kSimdCol,
-                            core::SiteRepeatsMode::kOn,
                             core::DispatchMode::kPlan);
 
   std::atomic<bool> stop{false};

@@ -7,9 +7,9 @@
 //   2. PlfPlan as a container: finalize() groups ops by level, stably, and
 //      the level ranges tile the op array exactly.
 //   3. The engine property the refactor promises: a plan-dispatch engine is
-//      BIT-IDENTICAL to its per-call twin on every backend, repeats on and
-//      off, through a randomized proposal/accept/reject storm that also
-//      exercises the incremental scaler-total path.
+//      BIT-IDENTICAL to its per-call twin on every backend, through a
+//      randomized proposal/accept/reject storm that also exercises the
+//      incremental scaler-total path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -231,15 +231,14 @@ struct BackendHolder {
 /// evaluation. Branch-length moves leave the incremental scaler-total path
 /// live; NNIs and rejects force the full-resum fallback — both engines pass
 /// through the identical sequence of states, so every comparison is exact.
-void lockstep_storm(BackendKind kind, SiteRepeatsMode mode,
-                    std::uint64_t seed) {
+void lockstep_storm(BackendKind kind, std::uint64_t seed) {
   const Dataset d = make_dataset(seed, 10);
   BackendHolder h_pc = BackendHolder::make(kind);
   BackendHolder h_plan = BackendHolder::make(kind);
   PlfEngine percall(d.data, d.params, d.tree, *h_pc.backend,
-                    KernelVariant::kSimdCol, mode, DispatchMode::kPerCall);
+                    KernelVariant::kSimdCol, DispatchMode::kPerCall);
   PlfEngine plan(d.data, d.params, d.tree, *h_plan.backend,
-                 KernelVariant::kSimdCol, mode, DispatchMode::kPlan);
+                 KernelVariant::kSimdCol, DispatchMode::kPlan);
   ASSERT_EQ(percall.dispatch_mode(), DispatchMode::kPerCall);
   ASSERT_EQ(plan.dispatch_mode(), DispatchMode::kPlan);
 
@@ -296,37 +295,32 @@ void lockstep_storm(BackendKind kind, SiteRepeatsMode mode,
             0);
 }
 
-using StormParam = std::tuple<BackendKind, SiteRepeatsMode>;
-
-class PlanLockstepTest : public ::testing::TestWithParam<StormParam> {};
+class PlanLockstepTest : public ::testing::TestWithParam<BackendKind> {};
 
 TEST_P(PlanLockstepTest, PerCallAndPlanBitIdenticalThroughProposalStorm) {
-  lockstep_storm(std::get<0>(GetParam()), std::get<1>(GetParam()), 41);
+  lockstep_storm(GetParam(), 41);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, PlanLockstepTest,
-    ::testing::Combine(
-        ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded,
-                          BackendKind::kCell, BackendKind::kGpu),
-        ::testing::Values(SiteRepeatsMode::kOff, SiteRepeatsMode::kOn)),
-    [](const ::testing::TestParamInfo<StormParam>& info) {
+    ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded,
+                      BackendKind::kCell, BackendKind::kGpu),
+    [](const ::testing::TestParamInfo<BackendKind>& info) {
       const char* b = "";
-      switch (std::get<0>(info.param)) {
+      switch (info.param) {
         case BackendKind::kSerial: b = "serial"; break;
         case BackendKind::kThreaded: b = "threaded"; break;
         case BackendKind::kCell: b = "cell"; break;
         case BackendKind::kGpu: b = "gpu"; break;
       }
-      return std::string(b) + "_repeats_" +
-             (std::get<1>(info.param) == SiteRepeatsMode::kOn ? "on" : "off");
+      return std::string(b);
     });
 
 TEST(PlanEngineTest, PlanShapeMatchesTreeOnFirstEvaluation) {
   const Dataset d = make_dataset(5, 12);
   SerialBackend backend;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan);
+              DispatchMode::kPlan);
   e.log_likelihood();
 
   const std::size_t n_internals = d.tree.postorder_internals().size();
@@ -362,7 +356,7 @@ TEST(PlanEngineTest, TipOpKindsMatchTreeShape) {
 
   SerialBackend backend;
   PlfEngine e(data, params, tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan);
+              DispatchMode::kPlan);
   ASSERT_TRUE(e.tip_kernels_enabled());
   e.log_likelihood();
 
@@ -387,7 +381,7 @@ TEST(PlanEngineTest, PairTablesRebuildOnlyWhenCherryBranchesChange) {
   const Dataset d = make_dataset(29, 10);
   SerialBackend backend;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan);
+              DispatchMode::kPlan);
   e.log_likelihood();
   const std::uint64_t built0 = e.stats().tip_tables_built;
   const std::uint64_t tt0 = e.stats().tip_tt_ops;
@@ -425,7 +419,7 @@ TEST(IncrementalScalerTest, ResumsOnlyOnTopologyChangesAndRejects) {
   const Dataset d = make_dataset(17, 9);
   SerialBackend backend;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan);
+              DispatchMode::kPlan);
 
   e.log_likelihood();  // first evaluation: full resum, no deltas possible
   EXPECT_EQ(e.stats().scaler_resums, 1u);
@@ -471,8 +465,7 @@ TEST(IncrementalScalerTest, ResumsOnlyOnTopologyChangesAndRejects) {
   // scaler_total differs by accumulated subtract/add rounding at most).
   SerialBackend backend2;
   PlfEngine fresh(d.data, e.model_params(), e.tree(), backend2,
-                  KernelVariant::kSimdCol, SiteRepeatsMode::kOff,
-                  DispatchMode::kPlan);
+                  KernelVariant::kSimdCol, DispatchMode::kPlan);
   const double lnl = e.log_likelihood();
   EXPECT_NEAR(lnl, fresh.log_likelihood(), std::abs(lnl) * 1e-12);
 }
@@ -507,7 +500,7 @@ TEST(PlanArenaTest, EvictedAncestorIsLeveledBeforeItsDependents) {
   half.kind = ClvBudget::Kind::kFraction;
   half.fraction = 0.5;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan, half);
+              DispatchMode::kPlan, half);
   e.log_likelihood();
 
   const int leaf = e.tree().leaf_of(0);
@@ -544,8 +537,7 @@ TEST(PlanArenaTest, RematerializationRidesTheDirtyPlanNotASecondPass) {
   const Dataset d = make_dataset(89, 10);
   SerialBackend backend;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              SiteRepeatsMode::kOff, DispatchMode::kPlan,
-              clv_budget_from_string("0.5"));
+              DispatchMode::kPlan, clv_budget_from_string("0.5"));
   e.log_likelihood();
   const std::uint64_t ops_baseline = e.stats().plan_ops;
 

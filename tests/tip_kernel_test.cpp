@@ -2,10 +2,11 @@
 // (docs/KERNELS.md): the pair-table gather (down_tt), the tip×inner entry
 // (down_ti), and every fused down/root+scale twin must reproduce the generic
 // unfused path to the last ULP — across all kernel variants, all 15×15 valid
-// ambiguity-mask pairs, K ∈ {1, 4}, with and without site-repeat compaction,
-// and at branch-length extremes. Comparisons are memcmp (0 ULP), because the
-// backends substitute these entries freely and the engine's A/B guarantees
-// (per-call vs plan dispatch) demand bit identity, not tolerance.
+// ambiguity-mask pairs, K ∈ {1, 4}, at branch-length extremes, and over the
+// whole site range, an unaligned window of it, or uneven chunks of it.
+// Comparisons are memcmp (0 ULP), because the backends substitute these
+// entries freely and the engine's A/B guarantees (per-call vs plan dispatch)
+// demand bit identity, not tolerance.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -48,8 +50,7 @@ struct TipFixture {
   TipPartial tp_l, tp_r, tp_o;
   TipPairTable pair;
   std::vector<StateMask> mask_l, mask_r, mask_o;
-  aligned_vector<float> cl_r;          // internal right child (tip×inner)
-  std::vector<std::uint32_t> repeats;  // strictly increasing site subset
+  aligned_vector<float> cl_r;  // internal right child (tip×inner)
 
   TipFixture(std::size_t K_, double branch_scale) : K(K_) {
     GtrParams p = test::random_gtr(rng, K);
@@ -69,7 +70,6 @@ struct TipFixture {
     }
     mask_o = test::random_masks(m, rng);
     cl_r = test::random_cl(m, K, rng);
-    for (std::uint32_t c = 0; c < m; c += 3) repeats.push_back(c);
   }
 
   ChildArgs tip_left() const {
@@ -96,7 +96,7 @@ struct TipFixture {
     return ch;
   }
 
-  TipTipArgs tt_args(float* out, bool use_repeats) const {
+  TipTipArgs tt_args(float* out) const {
     TipTipArgs a;
     a.left_mask = mask_l.data();
     a.right_mask = mask_r.data();
@@ -106,13 +106,7 @@ struct TipFixture {
     a.out = out;
     a.K = K;
     a.table_categories = pair.n_categories();
-    a.site_index = use_repeats ? repeats.data() : nullptr;
-    a.n_sites = m;
     return a;
-  }
-
-  std::size_t run_m(bool use_repeats) const {
-    return use_repeats ? repeats.size() : m;
   }
 };
 
@@ -179,67 +173,94 @@ TEST(TipPairTableTest, CategoryCountMismatchThrows) {
 
 // ---------------------------------------------------------------------------
 // Kernel conformance, parameterized over
-// (variant, K, branch-length scale, site repeats on/off).
+// (variant, K, branch-length scale, site range).
 
-using TipParam =
-    std::tuple<KernelVariant, std::size_t /*K*/, double /*branch scale*/,
-               bool /*site repeats*/>;
+// How the kernel under test covers the sites. The reference always runs in
+// one call over the case's span; the candidate runs over the same span:
+//   kDense   — one call over every site;
+//   kWindow  — one call over an unaligned sub-range; sites outside it must
+//              stay untouched (both outputs start zeroed, so memcmp sees a
+//              stray write);
+//   kChunked — every site, in uneven chunks, the way ThreadedBackend splits
+//              an op's range across workers.
+enum class SiteRange { kDense, kWindow, kChunked };
+
+using TipParam = std::tuple<KernelVariant, std::size_t /*K*/,
+                            double /*branch scale*/, SiteRange>;
 
 class TipKernelConformanceTest : public ::testing::TestWithParam<TipParam> {
  protected:
-  // Both outputs seeded identically so untouched (non-representative) sites
-  // compare equal under memcmp too.
   static aligned_vector<float> zeros(std::size_t n) {
     return aligned_vector<float>(n, 0.0f);
+  }
+
+  // [begin, end) of the sites this case covers.
+  static std::pair<std::size_t, std::size_t> span(std::size_t m) {
+    if (std::get<3>(GetParam()) == SiteRange::kWindow) return {5, m - 7};
+    return {0, m};
+  }
+
+  // Runs f(begin, end) over span(m), split into chunks under kChunked.
+  template <class F>
+  static void run(std::size_t m, F&& f) {
+    const auto [b, e] = span(m);
+    if (std::get<3>(GetParam()) != SiteRange::kChunked) {
+      f(b, e);
+      return;
+    }
+    const std::size_t c1 = b + (e - b) / 3;
+    const std::size_t c2 = b + (e - b) / 2 + 1;
+    f(b, c1);
+    f(c1, c2);
+    f(c2, e);
   }
 };
 
 TEST_P(TipKernelConformanceTest, TipTipGatherMatchesGenericDown) {
-  const auto [variant, K, scale, use_repeats] = GetParam();
+  const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
+  const auto [b, e] = span(fx.m);
 
   DownArgs generic;
   generic.left = fx.tip_left();
   generic.right = fx.tip_right();
   generic.K = K;
-  generic.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  generic.n_sites = fx.m;
 
   aligned_vector<float> out_gen = zeros(fx.m * K * 4);
   aligned_vector<float> out_tt = zeros(fx.m * K * 4);
   generic.out = out_gen.data();
-  ks.down(generic, 0, fx.run_m(use_repeats));
-  TipTipArgs tt = fx.tt_args(out_tt.data(), use_repeats);
-  ks.down_tt(tt, 0, fx.run_m(use_repeats));
+  ks.down(generic, b, e);
+  TipTipArgs tt = fx.tt_args(out_tt.data());
+  run(fx.m, [&](std::size_t lo, std::size_t hi) { ks.down_tt(tt, lo, hi); });
   expect_bitwise_equal(out_tt, out_gen);
 }
 
 TEST_P(TipKernelConformanceTest, TipInnerMatchesGenericDown) {
-  const auto [variant, K, scale, use_repeats] = GetParam();
+  const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
+  const auto [b, e] = span(fx.m);
 
   DownArgs args;
   args.left = fx.tip_left();
   args.right = fx.inner_right();
   args.K = K;
-  args.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  args.n_sites = fx.m;
 
   aligned_vector<float> out_gen = zeros(fx.m * K * 4);
   aligned_vector<float> out_ti = zeros(fx.m * K * 4);
   args.out = out_gen.data();
-  ks.down(args, 0, fx.run_m(use_repeats));
+  ks.down(args, b, e);
   args.out = out_ti.data();
-  ks.down_ti(args, 0, fx.run_m(use_repeats));
+  run(fx.m, [&](std::size_t lo, std::size_t hi) { ks.down_ti(args, lo, hi); });
   expect_bitwise_equal(out_ti, out_gen);
 }
 
 TEST_P(TipKernelConformanceTest, FusedDownScaleMatchesUnfusedPair) {
-  const auto [variant, K, scale, use_repeats] = GetParam();
+  const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
+  const auto [b, e] = span(fx.m);
   // Generic inner×inner op (second random CLV as the left child).
   aligned_vector<float> cl_l = test::random_cl(fx.m, K, fx.rng);
 
@@ -249,8 +270,6 @@ TEST_P(TipKernelConformanceTest, FusedDownScaleMatchesUnfusedPair) {
   args.left.pt = fx.tm_l.col_major();
   args.right = fx.inner_right();
   args.K = K;
-  args.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  args.n_sites = fx.m;
 
   aligned_vector<float> out_a = zeros(fx.m * K * 4);
   aligned_vector<float> out_b = zeros(fx.m * K * 4);
@@ -262,32 +281,31 @@ TEST_P(TipKernelConformanceTest, FusedDownScaleMatchesUnfusedPair) {
   sa.cl = out_a.data();
   sa.ln_scaler = ln_a.data();
   sa.K = K;
-  sa.site_index = args.site_index;
-  sa.n_sites = fx.m;
-  ks.down(args, 0, fx.run_m(use_repeats));
-  ks.scale(sa, 0, fx.run_m(use_repeats));
+  ks.down(args, b, e);
+  ks.scale(sa, b, e);
 
   args.out = out_b.data();
   ScaleArgs sb = sa;
   sb.cl = out_b.data();
   sb.ln_scaler = ln_b.data();
-  ks.down_scale(args, sb, 0, fx.run_m(use_repeats));
+  run(fx.m, [&](std::size_t lo, std::size_t hi) {
+    ks.down_scale(args, sb, lo, hi);
+  });
 
   expect_bitwise_equal(out_b, out_a);
   expect_bitwise_equal(ln_b, ln_a);
 }
 
 TEST_P(TipKernelConformanceTest, FusedTipInnerScaleMatchesUnfusedPair) {
-  const auto [variant, K, scale, use_repeats] = GetParam();
+  const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
+  const auto [b, e] = span(fx.m);
 
   DownArgs args;
   args.left = fx.tip_left();
   args.right = fx.inner_right();
   args.K = K;
-  args.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  args.n_sites = fx.m;
 
   aligned_vector<float> out_a = zeros(fx.m * K * 4);
   aligned_vector<float> out_b = zeros(fx.m * K * 4);
@@ -299,62 +317,62 @@ TEST_P(TipKernelConformanceTest, FusedTipInnerScaleMatchesUnfusedPair) {
   sa.cl = out_a.data();
   sa.ln_scaler = ln_a.data();
   sa.K = K;
-  sa.site_index = args.site_index;
-  sa.n_sites = fx.m;
-  ks.down_ti(args, 0, fx.run_m(use_repeats));
-  ks.scale(sa, 0, fx.run_m(use_repeats));
+  ks.down_ti(args, b, e);
+  ks.scale(sa, b, e);
 
   args.out = out_b.data();
   ScaleArgs sb = sa;
   sb.cl = out_b.data();
   sb.ln_scaler = ln_b.data();
-  ks.down_ti_scale(args, sb, 0, fx.run_m(use_repeats));
+  run(fx.m, [&](std::size_t lo, std::size_t hi) {
+    ks.down_ti_scale(args, sb, lo, hi);
+  });
 
   expect_bitwise_equal(out_b, out_a);
   expect_bitwise_equal(ln_b, ln_a);
 }
 
 TEST_P(TipKernelConformanceTest, FusedTipTipScaleMatchesUnfusedPair) {
-  const auto [variant, K, scale, use_repeats] = GetParam();
+  const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
+  const auto [b, e] = span(fx.m);
 
   aligned_vector<float> out_a = zeros(fx.m * K * 4);
   aligned_vector<float> out_b = zeros(fx.m * K * 4);
   aligned_vector<float> ln_a = zeros(fx.m);
   aligned_vector<float> ln_b = zeros(fx.m);
 
-  TipTipArgs ta = fx.tt_args(out_a.data(), use_repeats);
+  TipTipArgs ta = fx.tt_args(out_a.data());
   ScaleArgs sa;
   sa.cl = out_a.data();
   sa.ln_scaler = ln_a.data();
   sa.K = K;
-  sa.site_index = ta.site_index;
-  sa.n_sites = fx.m;
-  ks.down_tt(ta, 0, fx.run_m(use_repeats));
-  ks.scale(sa, 0, fx.run_m(use_repeats));
+  ks.down_tt(ta, b, e);
+  ks.scale(sa, b, e);
 
-  TipTipArgs tb = fx.tt_args(out_b.data(), use_repeats);
+  TipTipArgs tb = fx.tt_args(out_b.data());
   ScaleArgs sb = sa;
   sb.cl = out_b.data();
   sb.ln_scaler = ln_b.data();
-  ks.down_tt_scale(tb, sb, 0, fx.run_m(use_repeats));
+  run(fx.m, [&](std::size_t lo, std::size_t hi) {
+    ks.down_tt_scale(tb, sb, lo, hi);
+  });
 
   expect_bitwise_equal(out_b, out_a);
   expect_bitwise_equal(ln_b, ln_a);
 }
 
 TEST_P(TipKernelConformanceTest, FusedRootScaleMatchesUnfusedPair) {
-  const auto [variant, K, scale, use_repeats] = GetParam();
+  const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
+  const auto [b, e] = span(fx.m);
 
   RootArgs args;
   args.down.left = fx.tip_left();
   args.down.right = fx.inner_right();
   args.down.K = K;
-  args.down.site_index = use_repeats ? fx.repeats.data() : nullptr;
-  args.down.n_sites = fx.m;
   args.out_mask = fx.mask_o.data();
   args.out_tp = fx.tp_o.data();
 
@@ -368,35 +386,36 @@ TEST_P(TipKernelConformanceTest, FusedRootScaleMatchesUnfusedPair) {
   sa.cl = out_a.data();
   sa.ln_scaler = ln_a.data();
   sa.K = K;
-  sa.site_index = args.down.site_index;
-  sa.n_sites = fx.m;
-  ks.root(args, 0, fx.run_m(use_repeats));
-  ks.scale(sa, 0, fx.run_m(use_repeats));
+  ks.root(args, b, e);
+  ks.scale(sa, b, e);
 
   args.down.out = out_b.data();
   ScaleArgs sb = sa;
   sb.cl = out_b.data();
   sb.ln_scaler = ln_b.data();
-  ks.root_scale(args, sb, 0, fx.run_m(use_repeats));
+  run(fx.m, [&](std::size_t lo, std::size_t hi) {
+    ks.root_scale(args, sb, lo, hi);
+  });
 
   expect_bitwise_equal(out_b, out_a);
   expect_bitwise_equal(ln_b, ln_a);
 }
 
 TEST_P(TipKernelConformanceTest, TipTipRangeSplitEqualsWholeRange) {
-  const auto [variant, K, scale, use_repeats] = GetParam();
+  const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
-  const std::size_t n = fx.run_m(use_repeats);
+  const auto [b, e] = span(fx.m);
+  const std::size_t n = e - b;
 
   aligned_vector<float> whole = zeros(fx.m * K * 4);
   aligned_vector<float> split = zeros(fx.m * K * 4);
-  TipTipArgs tw = fx.tt_args(whole.data(), use_repeats);
-  ks.down_tt(tw, 0, n);
-  TipTipArgs ts = fx.tt_args(split.data(), use_repeats);
-  ks.down_tt(ts, 0, n / 3);
-  ks.down_tt(ts, n / 3, n / 2 + 1);
-  ks.down_tt(ts, n / 2 + 1, n);
+  TipTipArgs tw = fx.tt_args(whole.data());
+  ks.down_tt(tw, b, e);
+  TipTipArgs ts = fx.tt_args(split.data());
+  ks.down_tt(ts, b, b + n / 3);
+  ks.down_tt(ts, b + n / 3, b + n / 2 + 1);
+  ks.down_tt(ts, b + n / 2 + 1, e);
   expect_bitwise_equal(split, whole);
 }
 
@@ -409,7 +428,9 @@ INSTANTIATE_TEST_SUITE_P(
         // Branch-length scale factors: near-zero branches (transition matrix
         // ~identity, tip rows hit the 0/1 extremes), typical, and
         // near-saturation (rows flatten toward the stationary distribution).
-        ::testing::Values(1e-5, 1.0, 250.0), ::testing::Bool()),
+        ::testing::Values(1e-5, 1.0, 250.0),
+        ::testing::Values(SiteRange::kDense, SiteRange::kWindow,
+                          SiteRange::kChunked)),
     [](const ::testing::TestParamInfo<TipParam>& info) {
       std::string name = to_string(std::get<0>(info.param));
       for (auto& c : name) {
@@ -417,8 +438,13 @@ INSTANTIATE_TEST_SUITE_P(
       }
       const double s = std::get<2>(info.param);
       const char* stag = s < 1e-3 ? "tiny" : (s > 10.0 ? "huge" : "mid");
+      const SiteRange r = std::get<3>(info.param);
+      const char* rtag = r == SiteRange::kDense
+                             ? "_dense"
+                             : (r == SiteRange::kWindow ? "_window"
+                                                        : "_chunked");
       return name + "_K" + std::to_string(std::get<1>(info.param)) + "_" +
-             stag + (std::get<3>(info.param) ? "_rep" : "_dense");
+             stag + rtag;
     });
 
 }  // namespace

@@ -3,7 +3,7 @@
 #
 #   tools/check.sh              # run everything available on this host
 #   tools/check.sh plain        # RelWithDebInfo build + ctest
-#   tools/check.sh checked      # checked contracts + site-repeat diff suite
+#   tools/check.sh checked      # checked contracts + differential suites
 #   tools/check.sh asan         # ASan+UBSan preset + ctest
 #   tools/check.sh tsan         # TSan preset + ctest
 #   tools/check.sh tidy         # clang-tidy over src/ (skipped if absent)
@@ -44,11 +44,10 @@ stage_plain() { run_preset default; }
 stage_asan()  { run_preset asan-ubsan; }
 stage_tsan()  { run_preset tsan; }
 
-# Checked-contract build running the site-repeat, plan-dispatch, and
-# tip-kernel differential suites: every backend x repeats on/off x
-# percall/plan cross-check plus the repeat-class, plan, and tip-kernel
-# conformance tests, with the PLF_DCHECK-level contracts (index monotonicity,
-# plan leveling, tip-state range etc.) armed.
+# Checked-contract build running the plan-dispatch and tip-kernel
+# differential suites: every backend x percall/plan cross-check plus the
+# plan and tip-kernel conformance tests, with the PLF_DCHECK-level contracts
+# (plan leveling, tip-state range etc.) armed.
 stage_checked() {
   note "preset 'checked': configure" &&
     cmake --preset checked &&
@@ -56,7 +55,7 @@ stage_checked() {
     cmake --build --preset checked -j "${JOBS}" &&
     note "preset 'checked': differential suite" &&
     ctest --preset checked \
-      -R 'BackendDiff|SiteRepeats|Repeats|Contract|Check|Plan|ComputeLevels|DispatchMode|IncrementalScaler|TipKernel|TipPairTable|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge'
+      -R 'BackendDiff|Contract|Check|Plan|ComputeLevels|DispatchMode|IncrementalScaler|TipKernel|TipPairTable|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge'
 }
 
 # Quick bench-suite smoke: produces a schema-valid BENCH json and runs the
