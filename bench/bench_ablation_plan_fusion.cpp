@@ -1,7 +1,9 @@
 // Ablation: batched plan dispatch (docs/EXECUTION_PLAN.md) vs per-call.
 //
-// Same engine, same threaded backend, same kernels — only the dispatch path
-// differs, and results are bit-identical (tests/backend_diff_test.cpp), so
+// Same engine, same threaded backend, same kernels — only the executor
+// differs: per-call is the backend wrapped in core::PerCallBackend (generic
+// kernels, one region per call), plan is its own fused run_plan. Results are
+// bit-identical (tests/backend_diff_test.cpp), so
 // any wall-time gap is pure dispatch overhead: spawn/sync barriers and the
 // extra memory pass the unfused CondLikeScaler makes over each CLV block.
 // The pattern count matches the paper's real ssu-rRNA alignment (8,543
@@ -54,9 +56,9 @@ struct RunResult {
 
 RunResult run(const phylo::PatternMatrix& data, const phylo::Tree& tree,
               const phylo::GtrParams& params, core::ExecutionBackend& backend,
-              core::DispatchMode dispatch, bool full_reval, int iterations) {
+              bool full_reval, int iterations) {
   core::PlfEngine engine(data, params, tree, backend,
-                         core::KernelVariant::kSimdCol, dispatch);
+                         core::KernelVariant::kSimdCol);
   engine.log_likelihood();  // warm up: buffers touched, matrices built
   engine.reset_stats();
 
@@ -87,12 +89,12 @@ RunResult run(const phylo::PatternMatrix& data, const phylo::Tree& tree,
 /// right statistic for comparing two fixed workloads on a shared host.
 RunResult best_of(const phylo::PatternMatrix& data, const phylo::Tree& tree,
                   const phylo::GtrParams& params,
-                  core::ExecutionBackend& backend, core::DispatchMode dispatch,
-                  bool full_reval, int iterations, int reps) {
+                  core::ExecutionBackend& backend, bool full_reval,
+                  int iterations, int reps) {
   RunResult best;
   for (int i = 0; i < reps; ++i) {
     const RunResult r =
-        run(data, tree, params, backend, dispatch, full_reval, iterations);
+        run(data, tree, params, backend, full_reval, iterations);
     if (i == 0 || r.wall_s < best.wall_s) best = r;
   }
   return best;
@@ -116,6 +118,7 @@ int main(int argc, char** argv) {
 
   par::ThreadPool pool(workers);
   core::ThreadedBackend backend(pool);
+  core::PerCallBackend per_call(backend);
 
   Table t("Plan-dispatch ablation: threaded(" + std::to_string(workers) +
           "), simd-col, " + std::to_string(kTaxa) + " taxa, " +
@@ -128,11 +131,9 @@ int main(int argc, char** argv) {
   for (const bool full : {false, true}) {
     const int iters = full ? model_iters : branch_iters;
     const RunResult pc =
-        best_of(data, tree, params, backend, core::DispatchMode::kPerCall,
-                full, iters, kReps);
+        best_of(data, tree, params, per_call, full, iters, kReps);
     const RunResult pl =
-        best_of(data, tree, params, backend, core::DispatchMode::kPlan, full,
-                iters, kReps);
+        best_of(data, tree, params, backend, full, iters, kReps);
     const double speedup = pc.plf_s / pl.plf_s;
     if (full) headline = pc.wall_s / pl.wall_s;
     t.row({full ? "model move (all nodes)" : "branch move (one path)",
@@ -150,8 +151,8 @@ int main(int argc, char** argv) {
                "as one region with the rescale done\n"
                "inside each worker's still-hot chunk. The plf columns time\n"
                "exactly the dispatched work; wall adds the per-evaluation\n"
-               "costs the dispatch mode cannot change (matrix rebuilds,\n"
-               "scaler totals, root reduction).\n";
+               "costs the executor cannot change (matrix rebuilds, plan\n"
+               "build, scaler totals, root reduction).\n";
   std::cout << "fused plan dispatch speedup (full re-evaluations, wall): "
             << Table::num(headline, 2) << "x\n";
   return 0;

@@ -9,8 +9,9 @@
 //   engine.<backend>.<dispatch>.sr-off
 //                               seconds per likelihood evaluation under a
 //                               branch-move loop, over {serial,threaded} ×
-//                               {percall,plan}; the sr-off suffix is kept so
-//                               names match bench/baseline.json
+//                               {percall,plan} (percall: the backend wrapped
+//                               in core::PerCallBackend); the sr-off suffix
+//                               is kept so names match bench/baseline.json
 //
 // Noise discipline: every case value is the MINIMUM over --reps repetitions
 // of the identical deterministic workload — the least-disturbed observation —
@@ -286,13 +287,12 @@ phylo::PatternMatrix make_columns(const std::vector<std::string>& names,
 CaseStat engine_case(const phylo::PatternMatrix& data,
                      const phylo::Tree& tree, const phylo::GtrParams& params,
                      core::ExecutionBackend& backend,
-                     const char* backend_label, core::DispatchMode dispatch,
+                     const char* backend_label, const char* dispatch_label,
                      std::uint64_t evals, int reps,
                      core::ClvBudget budget = core::ClvBudget{},
                      const char* name_suffix = "") {
   CaseStat cs;
-  cs.name = std::string("engine.") + backend_label + "." +
-            (dispatch == core::DispatchMode::kPlan ? "plan" : "percall") +
+  cs.name = std::string("engine.") + backend_label + "." + dispatch_label +
             ".sr-off" + name_suffix;
   cs.unit = "s/eval";
   cs.iters = evals;
@@ -301,7 +301,7 @@ CaseStat engine_case(const phylo::PatternMatrix& data,
   cs.threshold = std::string(backend_label) == "threaded" ? 0.40 : 0.25;
 
   core::PlfEngine engine(data, params, tree, backend,
-                         core::KernelVariant::kSimdCol, dispatch, budget);
+                         core::KernelVariant::kSimdCol, budget);
   engine.log_likelihood();  // warm-up: buffers, matrices, plan cache
   const int n_leaves = static_cast<int>(data.n_taxa());
   for (int rep = 0; rep < reps; ++rep) {
@@ -595,10 +595,13 @@ int main(int argc, char** argv) {
   const BackendRow backends[] = {{&serial, "serial"}, {&threaded, "threaded"}};
 
   for (const BackendRow& b : backends) {
-    for (const core::DispatchMode dispatch :
-         {core::DispatchMode::kPerCall, core::DispatchMode::kPlan}) {
-      cases.push_back(engine_case(data, tree, params, *b.backend, b.label,
-                                  dispatch, engine_evals, reps));
+    // Per-call dispatch: the same backend under the PerCallBackend executor.
+    core::PerCallBackend per_call(*b.backend);
+    const BackendRow executors[] = {{&per_call, "percall"},
+                                    {b.backend, "plan"}};
+    for (const BackendRow& e : executors) {
+      cases.push_back(engine_case(data, tree, params, *e.backend, b.label,
+                                  e.label, engine_evals, reps));
       std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
                 << " ms/eval (min of " << reps << ")\n";
     }
@@ -620,7 +623,7 @@ int main(int argc, char** argv) {
                                {"0.25", ".budget-0.25"}};
   for (const BudgetRow& b : budgets) {
     cases.push_back(engine_case(data, tree, params, serial, "serial",
-                                core::DispatchMode::kPlan, engine_evals, reps,
+                                "plan", engine_evals, reps,
                                 core::clv_budget_from_string(b.spec),
                                 b.suffix));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e3

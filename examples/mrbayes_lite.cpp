@@ -7,8 +7,7 @@
 // like 0.5 of the unbudgeted footprint); evicted vectors are recomputed on
 // demand, bit-identically.
 //
-// Usage: mrbayes_lite [--dispatch=percall|plan]
-//                     [--clv-budget=BYTES|FRACTION] [--profile[=FILE]]
+// Usage: mrbayes_lite [--clv-budget=BYTES|FRACTION] [--profile[=FILE]]
 //                     [--metrics-json[=FILE]] [--shared-pool[=DRIVERS]]
 //                     [--checkpoint-every=N] [--checkpoint=FILE]
 //                     [--resume=FILE] [--partitions=N|SPEC]
@@ -17,7 +16,13 @@
 //                     [alignment-file] [generations] [chains] [seed]
 //
 // Any other argument starting with "--" is an error, so a misspelled flag
-// never falls through to the positionals.
+// never falls through to the positionals. Numbers are parsed whole: "1O" or
+// "10x" is an error naming the argument, never a silent prefix.
+//
+// Evaluations always reach the backend as dependency-leveled plans
+// (docs/EXECUTION_PLAN.md); per-call dispatch, the paper's Fig. 9 structure,
+// is the core::PerCallBackend executor that the benches and tests wrap
+// around a backend.
 //
 // --telemetry streams one plf-telemetry-v1 JSONL record (gen, lnL, streaming
 // ESS, R-hat, acceptance + swap rates, metrics snapshot) every
@@ -44,7 +49,9 @@
 // trace to FILE (default plf_trace.json). --metrics-json dumps the full
 // metrics snapshot (counters, gauges, timer stats) as JSON to FILE (default
 // plf_metrics.json).
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -74,6 +81,32 @@
 #include "util/table.hpp"
 
 namespace {
+
+/// All of `text` as an unsigned integer; `what` names the argument in the
+/// error (strtoull would accept the prefix of "1O").
+std::uint64_t parse_count(const std::string& text, const std::string& what) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) {
+    throw plf::Error("invalid " + what + " '" + text +
+                     "' (expected an unsigned integer)");
+  }
+  return value;
+}
+
+/// All of `text` as a finite real number (see parse_count).
+double parse_real(const std::string& text, const std::string& what) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end ||
+      !std::isfinite(value)) {
+    throw plf::Error("invalid " + what + " '" + text +
+                     "' (expected a finite number)");
+  }
+  return value;
+}
 
 plf::phylo::Alignment load_or_simulate(const char* path, std::uint64_t seed) {
   using namespace plf;
@@ -105,7 +138,6 @@ plf::phylo::Alignment load_or_simulate(const char* path, std::uint64_t seed) {
 int run_main(int argc, char** argv) {
   using namespace plf;
 
-  core::DispatchMode dispatch = core::DispatchMode::kPlan;
   core::ClvBudget clv_budget;  // default: unlimited
   std::string profile_path;   // empty: profiling report/trace off
   std::string metrics_path;   // empty: metrics JSON off
@@ -122,10 +154,7 @@ int run_main(int argc, char** argv) {
   std::vector<const char*> pos;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--dispatch=", 0) == 0) {
-      dispatch = core::dispatch_mode_from_string(
-          arg.substr(std::strlen("--dispatch=")));
-    } else if (arg.rfind("--clv-budget=", 0) == 0) {
+    if (arg.rfind("--clv-budget=", 0) == 0) {
       clv_budget = core::clv_budget_from_string(
           arg.substr(std::strlen("--clv-budget=")));
     } else if (arg == "--profile") {
@@ -140,11 +169,11 @@ int run_main(int argc, char** argv) {
       shared_pool = true;
     } else if (arg.rfind("--shared-pool=", 0) == 0) {
       shared_pool = true;
-      n_drivers = std::strtoul(arg.c_str() + std::strlen("--shared-pool="),
-                               nullptr, 10);
+      n_drivers = parse_count(arg.substr(std::strlen("--shared-pool=")),
+                              "--shared-pool");
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      checkpoint_every = std::strtoull(
-          arg.c_str() + std::strlen("--checkpoint-every="), nullptr, 10);
+      checkpoint_every = parse_count(
+          arg.substr(std::strlen("--checkpoint-every=")), "--checkpoint-every");
     } else if (arg.rfind("--checkpoint=", 0) == 0) {
       checkpoint_path = arg.substr(std::strlen("--checkpoint="));
     } else if (arg.rfind("--resume=", 0) == 0) {
@@ -156,13 +185,13 @@ int run_main(int argc, char** argv) {
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_path = arg.substr(std::strlen("--telemetry="));
     } else if (arg.rfind("--telemetry-every=", 0) == 0) {
-      telemetry_every = std::strtoull(
-          arg.c_str() + std::strlen("--telemetry-every="), nullptr, 10);
+      telemetry_every = parse_count(
+          arg.substr(std::strlen("--telemetry-every=")), "--telemetry-every");
     } else if (arg.rfind("--status-file=", 0) == 0) {
       status_path = arg.substr(std::strlen("--status-file="));
     } else if (arg.rfind("--stop-at-ess=", 0) == 0) {
-      stop_at_ess = std::strtod(
-          arg.c_str() + std::strlen("--stop-at-ess="), nullptr);
+      stop_at_ess = parse_real(arg.substr(std::strlen("--stop-at-ess=")),
+                               "--stop-at-ess");
     } else if (arg.rfind("--", 0) == 0) {
       throw Error("unknown option '" + arg + "'");
     } else {
@@ -174,11 +203,10 @@ int run_main(int argc, char** argv) {
   }
   const char* path = (!pos.empty() && pos[0][0] != '\0') ? pos[0] : nullptr;
   const std::uint64_t gens =
-      pos.size() > 1 ? std::strtoull(pos[1], nullptr, 10) : 5000;
+      pos.size() > 1 ? parse_count(pos[1], "generations") : 5000;
   const std::size_t n_chains =
-      pos.size() > 2 ? std::strtoul(pos[2], nullptr, 10) : 4;
-  const std::uint64_t seed =
-      pos.size() > 3 ? std::strtoull(pos[3], nullptr, 10) : 1;
+      pos.size() > 2 ? parse_count(pos[2], "chains") : 4;
+  const std::uint64_t seed = pos.size() > 3 ? parse_count(pos[3], "seed") : 1;
 
   std::cout << "== mrbayes_lite ==\n";
   const phylo::Alignment aln = load_or_simulate(path, seed);
@@ -187,8 +215,7 @@ int run_main(int argc, char** argv) {
             << " columns, " << data.n_patterns() << " distinct patterns\n";
   std::cout << "run: " << gens << " generations, " << n_chains
             << " coupled chains (1 cold + " << (n_chains - 1)
-            << " heated), GTR+I+G, seed " << seed << ", dispatch "
-            << core::to_string(dispatch) << ", clv budget "
+            << " heated), GTR+I+G, seed " << seed << ", clv budget "
             << core::to_string(clv_budget) << "\n\n";
 
   // Starting state: a random tree, default model with +I enabled.
@@ -207,7 +234,7 @@ int run_main(int argc, char** argv) {
     start = phylo::Tree::from_newick(start.to_newick(), aln.names());
     engines.push_back(std::make_unique<core::PlfEngine>(
         data, start_params, start, backend, core::KernelVariant::kSimdCol,
-        dispatch, clv_budget));
+        clv_budget));
   }
 
   if (!partitions_spec.empty()) {
@@ -217,11 +244,10 @@ int run_main(int argc, char** argv) {
     const phylo::PartitionSpec spec =
         numeric ? phylo::PartitionSpec::uniform(
                       aln.n_columns(),
-                      std::strtoul(partitions_spec.c_str(), nullptr, 10))
+                      parse_count(partitions_spec, "--partitions"))
                 : phylo::PartitionSpec::parse(partitions_spec,
                                               aln.n_columns());
     exec::PartitionedEngine::Config pcfg;
-    pcfg.dispatch = dispatch;
     pcfg.clv_budget = clv_budget;
     std::unique_ptr<exec::InstanceScheduler> psched;
     if (shared_pool) {

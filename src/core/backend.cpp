@@ -38,11 +38,10 @@ inline void run_op_fused(const KernelSet& ks, const PlfOp& op,
 
 void ExecutionBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   detail::check_plan(plan);
-  // Reference executor: ops in plan (level) order through the per-call
-  // entries. Level order subsumes the engine's postorder, so this is
-  // bit-identical to per-call dispatch — and keeps the per-kernel plf.*
-  // timer attribution, since each call still runs under its own scope on
-  // the calling thread.
+  // Reference executor, and per-call dispatch itself (PerCallBackend runs
+  // any backend through it): ops in plan (level) order through the per-call
+  // entries, each call under its own per-kernel plf.* timer scope on the
+  // calling thread.
   for (const PlfOp& op : plan.ops()) {
     if (op.is_root) {
       PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);

@@ -14,10 +14,11 @@
 //       one synchronization per call (the paper's per-call structure whose
 //       spawn/sync overhead drives Fig. 9);
 //   run_plan — a whole evaluation's dependency-leveled batch of PlfOps
-//       (core/plan.hpp). The default implementation loops ops through the
-//       per-call entries, so every backend is plan-capable and bit-identical
-//       to per-call dispatch from day one; backends override it to fuse
-//       kernels and amortize synchronization across the plan.
+//       (core/plan.hpp), the engine's only entry. The default implementation
+//       loops ops through the per-call entries, so every backend is
+//       plan-capable and bit-identical to per-call dispatch from day one;
+//       backends override it to fuse kernels and amortize synchronization
+//       across the plan. PerCallBackend pins any backend to that default.
 #pragma once
 
 #include <cstddef>
@@ -75,6 +76,37 @@ class ExecutionBackend {
   /// bit-identical to per-call dispatch. Overrides must preserve that bit-identity (per-site math is
   /// partition-invariant; level order keeps the data dependencies).
   virtual void run_plan(const KernelSet& ks, const PlfPlan& plan);
+};
+
+/// Per-call dispatch as an executor: wraps `inner`, forwards the four per-call
+/// entries and advertises no capabilities, so the inherited base run_plan
+/// walks every op through the generic, unfused kernels with one
+/// synchronization per call. That is the paper's per-call structure (Fig. 9)
+/// and the 0-ULP reference every plan executor is diffed against.
+class PerCallBackend final : public ExecutionBackend {
+ public:
+  explicit PerCallBackend(ExecutionBackend& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name() + "/percall"; }
+  void run_down(const KernelSet& ks, const DownArgs& a,
+                std::size_t m) override {
+    inner_.run_down(ks, a, m);
+  }
+  void run_root(const KernelSet& ks, const RootArgs& a,
+                std::size_t m) override {
+    inner_.run_root(ks, a, m);
+  }
+  void run_scale(const KernelSet& ks, const ScaleArgs& a,
+                 std::size_t m) override {
+    inner_.run_scale(ks, a, m);
+  }
+  double run_root_reduce(const KernelSet& ks, const RootReduceArgs& a,
+                         std::size_t m) override {
+    return inner_.run_root_reduce(ks, a, m);
+  }
+
+ private:
+  ExecutionBackend& inner_;
 };
 
 /// Everything on the calling thread (the paper's Baseline system).

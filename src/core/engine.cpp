@@ -13,16 +13,36 @@
 
 namespace plf::core {
 
+EngineStats operator-(const EngineStats& a, const EngineStats& b) {
+  static_assert(sizeof(EngineStats) == 15 * sizeof(std::uint64_t),
+                "EngineStats gained or lost a field: update operator-");
+  EngineStats d;
+  d.down_calls = a.down_calls - b.down_calls;
+  d.root_calls = a.root_calls - b.root_calls;
+  d.scale_calls = a.scale_calls - b.scale_calls;
+  d.reduce_calls = a.reduce_calls - b.reduce_calls;
+  d.tm_builds = a.tm_builds - b.tm_builds;
+  d.pattern_iterations = a.pattern_iterations - b.pattern_iterations;
+  d.plf_seconds = a.plf_seconds - b.plf_seconds;
+  d.plan_builds = a.plan_builds - b.plan_builds;
+  d.plan_ops = a.plan_ops - b.plan_ops;
+  d.plan_levels = a.plan_levels - b.plan_levels;
+  d.scaler_resums = a.scaler_resums - b.scaler_resums;
+  d.scaler_delta_updates = a.scaler_delta_updates - b.scaler_delta_updates;
+  d.tip_tt_ops = a.tip_tt_ops - b.tip_tt_ops;
+  d.tip_ti_ops = a.tip_ti_ops - b.tip_ti_ops;
+  d.tip_tables_built = a.tip_tables_built - b.tip_tables_built;
+  return d;
+}
+
 PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
                      phylo::Tree tree, ExecutionBackend& backend,
-                     KernelVariant variant, DispatchMode dispatch,
-                     ClvBudget clv_budget)
+                     KernelVariant variant, ClvBudget clv_budget)
     : data_(std::move(data)),
       model_(params),
       tree_(std::move(tree)),
       backend_(&backend),
-      kernels_(&kernels(variant)),
-      dispatch_(dispatch) {
+      kernels_(&kernels(variant)) {
   PLF_CHECK(data_.n_taxa() == tree_.n_taxa(),
             "pattern matrix and tree disagree on taxon count");
   m_ = data_.n_patterns();
@@ -79,10 +99,9 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
   }
   const_lik_.assign(m_, 0.0f);
 
-  // Tip-specialized kernels ride plan dispatch only: the per-call path stays
-  // fully generic so --dispatch=percall remains the exact A/B baseline.
+  // Tip-specialized ops only for backends that dispatch them: PerCallBackend
+  // advertises nothing, so per-call dispatch stays the exact A/B baseline.
   tip_kernels_enabled_ =
-      dispatch_ == DispatchMode::kPlan &&
       has_capability(backend_->capabilities(), Capabilities::kTipKernels);
 
   // Publish the CLV footprint gauges immediately: a --metrics-json snapshot
@@ -287,34 +306,18 @@ ChildArgs PlfEngine::make_child(int node) const {
     ch.mask = data_.row(static_cast<std::size_t>(tree_.node(node).taxon));
     ch.tp = b.tp[static_cast<std::size_t>(b.active)].data();
   } else {
-    const NodeState& st = nodes_[static_cast<std::size_t>(node)];
-    // stage_arena() pinned this buffer for the whole evaluation, so the
-    // residency check cannot fire on a kernel-bound pointer.
-    ch.cl = arena_.data(clv_slot(node, st.active));
+    // A child this plan also recomputes (an earlier level) reads the buffer
+    // its op writes, which becomes active at post-processing; its
+    // PRE-evaluation active buffer may be evicted (only the target is
+    // staged). Any other child's active buffer was pinned by stage_arena().
+    const int target = plan_target_[static_cast<std::size_t>(node)];
+    const int buf =
+        target >= 0 ? target : nodes_[static_cast<std::size_t>(node)].active;
+    ch.cl = arena_.data(clv_slot(node, buf));
   }
   ch.p = tm.row_major();
   ch.pt = tm.col_major();
   return ch;
-}
-
-ChildArgs PlfEngine::make_plan_child(int node) const {
-  if (!tree_.node(node).is_leaf()) {
-    const int target = plan_target_[static_cast<std::size_t>(node)];
-    if (target >= 0) {
-      // The child is recomputed by this same plan (an earlier level): read
-      // the buffer its op writes, which becomes active at post-processing.
-      // Resolved directly — the child's PRE-evaluation active buffer may be
-      // evicted (only the target is staged), so make_child must not touch it.
-      const BranchState& b = branches_[static_cast<std::size_t>(node)];
-      const auto& tm = b.tm[static_cast<std::size_t>(b.active)];
-      ChildArgs ch;
-      ch.cl = arena_.data(clv_slot(node, target));
-      ch.p = tm.row_major();
-      ch.pt = tm.col_major();
-      return ch;
-    }
-  }
-  return make_child(node);
 }
 
 void PlfEngine::collect_recompute_targets() {
@@ -430,8 +433,8 @@ void PlfEngine::build_plan() {
     op.right = n.right;
     op.is_root = id == tree_.root();
     op.run_m = m_;
-    op.args.down.left = make_plan_child(n.left);
-    op.args.down.right = make_plan_child(n.right);
+    op.args.down.left = make_child(n.left);
+    op.args.down.right = make_child(n.right);
     op.args.down.out = out;
     op.args.down.K = k_;
     if (op.is_root) {
@@ -489,7 +492,7 @@ void PlfEngine::build_plan() {
     plan_.add(op, static_cast<std::size_t>(
                       levels[static_cast<std::size_t>(id)]));
 
-    // Work accounting identical to what the per-call loop counts.
+    // Work accounting: one down/root and one scale call per op.
     if (op.is_root) {
       ++stats_.root_calls;
     } else {
@@ -527,74 +530,7 @@ void PlfEngine::post_process_plan() {
   }
 }
 
-void PlfEngine::execute_percall() {
-  for (const RecomputeEntry& e : recompute_targets_) {
-    const int id = e.node;
-    const int target = e.target;
-    NodeState& st = nodes_[static_cast<std::size_t>(id)];
-    if (in_proposal_ && st.dirty && st.dirty_epoch != proposal_epoch_) {
-      pre_dirty_nodes_.push_back(id);
-      st.dirty_epoch = proposal_epoch_;
-    }
-    const phylo::TreeNode& n = tree_.node(id);
-    float* out = arena_.data(clv_slot(id, target));
-    float* ln_scaler = st.scaler[static_cast<std::size_t>(target)].data();
-
-    Stopwatch plf_sw;
-    if (id == tree_.root()) {
-      RootArgs ra;
-      ra.down.left = make_child(n.left);
-      ra.down.right = make_child(n.right);
-      ra.down.out = out;
-      ra.down.K = k_;
-      const int og = tree_.outgroup();
-      const BranchState& ob = branches_[static_cast<std::size_t>(og)];
-      ra.out_mask = data_.row(static_cast<std::size_t>(tree_.node(og).taxon));
-      ra.out_tp = ob.tp[static_cast<std::size_t>(ob.active)].data();
-      {
-        PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);
-        backend_->run_root(*kernels_, ra, m_);
-      }
-      ++stats_.root_calls;
-    } else {
-      DownArgs da;
-      da.left = make_child(n.left);
-      da.right = make_child(n.right);
-      da.out = out;
-      da.K = k_;
-      {
-        PLF_PROF_SCOPE(obs::kTimerCondLikeDown);
-        backend_->run_down(*kernels_, da, m_);
-      }
-      ++stats_.down_calls;
-    }
-
-    ScaleArgs sa;
-    sa.cl = out;
-    sa.ln_scaler = ln_scaler;
-    sa.K = k_;
-    {
-      PLF_PROF_SCOPE(obs::kTimerCondLikeScaler);
-      backend_->run_scale(*kernels_, sa, m_);
-    }
-    ++stats_.scale_calls;
-    stats_.pattern_iterations += 2 * m_;  // one PLF pass + one scaler pass
-    stats_.plf_seconds += plf_sw.seconds();
-
-    if (target != st.active) {
-      st.active = target;
-      if (in_proposal_) {
-        flipped_nodes_.push_back(id);
-        st.flip_epoch = proposal_epoch_;
-      }
-    }
-    st.dirty = false;
-  }
-}
-
 void PlfEngine::evaluate() {
-  Stopwatch serial_sw;
-
   // 1. Rebuild dirty branch matrices (serial work, like MrBayes' TiProbs).
   {
     PLF_PROF_SCOPE(obs::kTimerTiProbs);
@@ -605,11 +541,10 @@ void PlfEngine::evaluate() {
       }
     }
   }
-  stats_.serial_seconds += serial_sw.seconds();
 
   // 2. Recompute dirty internal nodes, children before parents: collect the
   // dirty postorder (with each node's resolved write target) once, then
-  // dispatch it per-call or as one dependency-leveled plan.
+  // dispatch it as one dependency-leveled plan.
   collect_recompute_targets();
 
   // 2a'. Pin every CLV buffer this evaluation reads or writes (acquiring
@@ -618,14 +553,12 @@ void PlfEngine::evaluate() {
   stage_arena();
 
   // 2a. Retire the recomputed nodes' old scaler-total contributions while
-  // their pre-evaluation buffers are still active. Shared by both dispatch
-  // modes and walked in the same order as the post-kernel addition pass, so
-  // scaler_total_ stays bit-identical between --dispatch=percall and plan.
-  // Rematerializations are skipped: their recomputed scaler row is bit-
-  // identical to the one already absorbed, and (t - x) + x != t in floating
-  // point — touching the total would break budgeted/unbudgeted bit-identity.
+  // their pre-evaluation buffers are still active, walking the same order as
+  // the post-kernel addition pass. Rematerializations are skipped: their
+  // recomputed scaler row is bit-identical to the one already absorbed, and
+  // (t - x) + x != t in floating point — touching the total would break
+  // budgeted/unbudgeted bit-identity.
   if (!scaler_resum_) {
-    serial_sw.reset();
     PLF_PROF_SCOPE(obs::kTimerScalerSum);
     for (const RecomputeEntry& e : recompute_targets_) {
       if (e.remat) continue;
@@ -635,38 +568,26 @@ void PlfEngine::evaluate() {
         scaler_total_[c] -= static_cast<double>(sc[c]);
       }
     }
-    stats_.serial_seconds += serial_sw.seconds();
   }
 
-  // 2b. Execute.
-  if (dispatch_ == DispatchMode::kPlan) {
-    if (!recompute_targets_.empty()) {
-      serial_sw.reset();
-      {
-        PLF_PROF_SCOPE(obs::kTimerPlanBuild);
-        Stopwatch build_sw;
-        build_plan();
-        stats_.plan_build_seconds += build_sw.seconds();
-      }
-      stats_.serial_seconds += serial_sw.seconds();
-
-      Stopwatch plf_sw;
-      {
-        PLF_PROF_SCOPE(obs::kTimerPlanExecute);
-        backend_->run_plan(*kernels_, plan_);
-      }
-      stats_.plf_seconds += plf_sw.seconds();
-
-      post_process_plan();
+  // 2b. Build, execute and post-process the plan.
+  if (!recompute_targets_.empty()) {
+    {
+      PLF_PROF_SCOPE(obs::kTimerPlanBuild);
+      build_plan();
     }
-  } else {
-    execute_percall();
+    Stopwatch plf_sw;
+    {
+      PLF_PROF_SCOPE(obs::kTimerPlanExecute);
+      backend_->run_plan(*kernels_, plan_);
+    }
+    stats_.plf_seconds += plf_sw.seconds();
+    post_process_plan();
   }
 
   // 3. Fold the new scaler rows into the per-pattern total — incrementally
   // (same node order as the 2a subtraction), or a full resum over every
   // internal node when flagged (first evaluation, reject, topology change).
-  serial_sw.reset();
   {
     PLF_PROF_SCOPE(obs::kTimerScalerSum);
     if (scaler_resum_) {
@@ -692,7 +613,6 @@ void PlfEngine::evaluate() {
       }
     }
   }
-  stats_.serial_seconds += serial_sw.seconds();
 
   // 4. Root reduction (with the +I invariant-sites mixture when enabled).
   Stopwatch reduce_sw;

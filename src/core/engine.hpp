@@ -50,7 +50,6 @@ struct EngineStats {
   std::uint64_t tm_builds = 0;            ///< per-branch matrix rebuilds
   std::uint64_t pattern_iterations = 0;   ///< sites actually iterated by kernels
   double plf_seconds = 0.0;               ///< wall time inside kernels
-  double serial_seconds = 0.0;            ///< matrix rebuilds + scaler totals
 
   // Plan dispatch (docs/EXECUTION_PLAN.md). One build per evaluation with
   // dirty nodes; plan_ops/plan_levels accumulate over builds, so their ratio
@@ -58,7 +57,6 @@ struct EngineStats {
   std::uint64_t plan_builds = 0;
   std::uint64_t plan_ops = 0;
   std::uint64_t plan_levels = 0;
-  double plan_build_seconds = 0.0;
 
   // Scaler-total bookkeeping: full O(nodes*m) resums (first evaluation and
   // after topology changes/rejects) vs incremental delta updates (one
@@ -75,12 +73,15 @@ struct EngineStats {
   std::uint64_t tip_tables_built = 0;
 };
 
+/// Field-wise difference (a run's work = stats after - stats before). Every
+/// counter is subtracted here, so a new field must be added here too.
+EngineStats operator-(const EngineStats& a, const EngineStats& b);
+
 class PlfEngine {
  public:
   PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
             phylo::Tree tree, ExecutionBackend& backend,
             KernelVariant variant = KernelVariant::kSimdCol,
-            DispatchMode dispatch = DispatchMode::kPlan,
             ClvBudget clv_budget = ClvBudget{});
 
   /// Evaluate the log likelihood, recomputing whatever is dirty.
@@ -144,22 +145,18 @@ class PlfEngine {
   /// proposal. EngineStats are run-local and intentionally not saved.
   void save_state(util::BinaryWriter& w) const;
   /// Inverse of save_state, into an engine constructed with the SAME data,
-  /// backend, kernel variant, dispatch mode, and rate-category count (a
-  /// config fingerprint is checked; bit-identity additionally requires the
-  /// same kernel configuration, which cannot be fingerprinted). Branch
-  /// transition matrices are rebuilt eagerly (pure functions of model x
-  /// length) and non-resident CLVs rematerialize on the next evaluation —
-  /// both deterministic, so the post-restore likelihood trajectory is
+  /// backend, kernel variant, and rate-category count (a config fingerprint
+  /// is checked; bit-identity additionally requires the same kernel
+  /// configuration, which cannot be fingerprinted). Branch transition
+  /// matrices are rebuilt eagerly (pure functions of model x length) and
+  /// non-resident CLVs rematerialize on the next evaluation — both
+  /// deterministic, so the post-restore likelihood trajectory is
   /// bit-identical to the uninterrupted run's.
   void restore_state(util::BinaryReader& r);
 
-  /// How evaluations reach the backend: per-call kernels or dependency-
-  /// leveled plans. Fixed at construction; results are bit-identical.
-  DispatchMode dispatch_mode() const { return dispatch_; }
-
-  /// True when plan dispatch marks cherry/tip-child ops for the lookup-table
-  /// kernels (backend advertises Capabilities::kTipKernels; per-call dispatch
-  /// stays fully generic as the A/B baseline).
+  /// True when plans mark cherry/tip-child ops for the lookup-table kernels
+  /// (the backend advertises Capabilities::kTipKernels; PerCallBackend does
+  /// not, so per-call dispatch stays fully generic as the A/B baseline).
   bool tip_kernels_enabled() const { return tip_kernels_enabled_; }
 
   /// Read-only view of an internal node's active conditional likelihoods
@@ -176,7 +173,7 @@ class PlfEngine {
   /// its recompute set with this ancestor (test hook for the remat path).
   void evict_node_for_test(int node);
   /// The most recently built execution plan (tests: leveling of evicted
-  /// ancestors). Meaningful after a plan-dispatch evaluation.
+  /// ancestors). Meaningful after an evaluation with dirty nodes.
   const PlfPlan& last_plan() const { return plan_; }
 
  private:
@@ -234,16 +231,16 @@ class PlfEngine {
   void mark_path_dirty(int from_node);
   void mark_branch_dirty(int node);
   void rebuild_branch(int node) PLF_REQUIRES(checker_);
+  /// Kernel arguments for reading child `node` during build_plan(). A child
+  /// this evaluation also recomputes resolves to its TARGET buffer: flips are
+  /// deferred to post-processing, so the active index still names the
+  /// pre-evaluation state while the plan's ops must read what earlier levels
+  /// will have written.
   ChildArgs make_child(int node) const;
-  /// make_child, except a child this evaluation also recomputes resolves to
-  /// its TARGET buffer: plan dispatch defers all flips to post-processing,
-  /// so the active index still names the pre-evaluation state while the
-  /// plan's ops must read what earlier levels will have written.
-  ChildArgs make_plan_child(int node) const;
   void evaluate() PLF_REQUIRES(checker_);
   /// The evaluation phases evaluate() composes (docs/EXECUTION_PLAN.md):
-  /// collect the dirty postorder with each node's write target, then either
-  /// replay the per-call loop or build-plan / execute-plan / post-process.
+  /// collect the dirty postorder with each node's write target, then
+  /// build-plan / execute-plan / post-process.
   void collect_recompute_targets() PLF_REQUIRES(checker_);
   /// Pin every CLV buffer this evaluation reads or writes, in the documented
   /// LRU touch order (external reads in recompute postorder, then write
@@ -251,7 +248,6 @@ class PlfEngine {
   /// Runs before any kernel, so no kernel ever sees an evicted pointer.
   void stage_arena() PLF_REQUIRES(checker_);
   void build_plan() PLF_REQUIRES(checker_);
-  void execute_percall() PLF_REQUIRES(checker_);
   /// Deferred flips + dirty clearing after a plan executes.
   void post_process_plan() PLF_REQUIRES(checker_);
   /// Arena footprint gauges (engine.clv_bytes + arena.*). Called from the
@@ -278,9 +274,7 @@ class PlfEngine {
 
   // Batched dispatch (core/plan.hpp). recompute_targets_ is the dirty
   // postorder with each node's resolved write target — the shared input of
-  // both dispatch paths and of the incremental scaler passes, which must
-  // walk it in identical order for cross-mode bit-identity.
-  DispatchMode dispatch_ = DispatchMode::kPlan;
+  // build_plan and of the incremental scaler passes.
   PlfPlan plan_;
   std::vector<RecomputeEntry> recompute_targets_;
   std::vector<char> recompute_;    ///< node id -> in recompute set (scratch)

@@ -7,20 +7,6 @@
 
 namespace plf::core {
 
-std::string to_string(DispatchMode m) {
-  switch (m) {
-    case DispatchMode::kPerCall: return "percall";
-    case DispatchMode::kPlan: return "plan";
-  }
-  return "?";
-}
-
-DispatchMode dispatch_mode_from_string(const std::string& s) {
-  if (s == "percall") return DispatchMode::kPerCall;
-  if (s == "plan") return DispatchMode::kPlan;
-  throw Error("unknown dispatch mode '" + s + "' (expected percall|plan)");
-}
-
 void PlfPlan::reset(std::size_t n_nodes, std::size_t m) {
   ops_.clear();
   op_level_.clear();

@@ -35,7 +35,6 @@ namespace plf::exec {
 /// default argument inside the enclosing class.)
 struct PartitionedConfig {
   core::KernelVariant variant = core::KernelVariant::kSimdCol;
-  core::DispatchMode dispatch = core::DispatchMode::kPlan;
   core::ClvBudget clv_budget;
 };
 

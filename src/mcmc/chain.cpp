@@ -114,19 +114,10 @@ McmcResult McmcChain::run(std::uint64_t generations) {
   result.final_tree_newick = engine_->tree().to_newick();
   result.wall_seconds = wall.seconds();
 
-  const core::EngineStats after = engine_->stats();
-  core::EngineStats delta = after;
-  delta.down_calls -= before.down_calls;
-  delta.root_calls -= before.root_calls;
-  delta.scale_calls -= before.scale_calls;
-  delta.reduce_calls -= before.reduce_calls;
-  delta.tm_builds -= before.tm_builds;
-  delta.pattern_iterations -= before.pattern_iterations;
-  delta.plf_seconds -= before.plf_seconds;
-  delta.serial_seconds -= before.serial_seconds;
-  result.engine_stats = delta;
-  result.plf_wall_seconds = delta.plf_seconds;
-  result.serial_wall_seconds = result.wall_seconds - delta.plf_seconds;
+  result.engine_stats = engine_->stats() - before;
+  result.plf_wall_seconds = result.engine_stats.plf_seconds;
+  result.serial_wall_seconds =
+      result.wall_seconds - result.engine_stats.plf_seconds;
   return result;
 }
 

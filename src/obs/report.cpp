@@ -36,8 +36,8 @@ Breakdown build_breakdown(const Snapshot& snapshot, double total_s,
       // Plan dispatch on a fused backend runs down/root + scale inside one
       // region per plan (per level on the GPU): the kernels are deliberately
       // indistinguishable there, so the level wall time is its own PLF row
-      // (per-call dispatch and the default per-op plan executor keep filling
-      // the per-kernel rows above instead).
+      // (the default per-op executor, which PerCallBackend runs on any
+      // backend, keeps filling the per-kernel rows above instead).
       kernel_share(snapshot, kTimerPlanLevel, "PlanLevel(fused)"),
   };
   for (const KernelShare& k : b.kernels) b.plf_s += k.seconds;

@@ -2,7 +2,7 @@
 //
 // Property under test: batched PlfPlan dispatch only regroups and fuses the
 // identical per-site kernel work, so a plan-dispatch engine must match its
-// per-call twin BIT FOR BIT — 0 ULP, not "close" — on every backend × variant
+// per-call twin (the same backend wrapped in core::PerCallBackend) BIT FOR BIT — 0 ULP, not "close" — on every backend × variant
 // combination, through proposals and rejects. Across backends and variants
 // the summation order changes, so those comparisons get per-backend tolerances
 // (ULP bounds on CLV entries, relative bounds on lnL against an independent
@@ -47,8 +47,12 @@ const char* name_of(BackendKind b) {
 struct BackendHolder {
   std::unique_ptr<par::ThreadPool> pool;
   std::unique_ptr<ExecutionBackend> backend;
+  std::unique_ptr<PerCallBackend> per_call;  ///< set by make(kind, true)
 
-  static BackendHolder make(BackendKind kind) {
+  /// What an engine runs on: the backend, or per-call dispatch over it.
+  ExecutionBackend& executor() { return per_call ? *per_call : *backend; }
+
+  static BackendHolder make(BackendKind kind, bool per_call = false) {
     BackendHolder h;
     switch (kind) {
       case BackendKind::kSerial:
@@ -68,6 +72,7 @@ struct BackendHolder {
         h.backend = std::make_unique<gpu::GpuPlf>(gpu::GpuPlfConfig{});
         break;
     }
+    if (per_call) h.per_call = std::make_unique<PerCallBackend>(*h.backend);
     return h;
   }
 };
@@ -144,16 +149,17 @@ TEST_P(BackendDiffTest, PerCallAndPlanAgreeBitwiseAndMatchReference) {
         const Dataset d = make_dataset(seed, K, scale);
         const std::size_t m = d.data.n_patterns();
 
-        // Twins: same backend kind, same variant — only the dispatch path
-        // differs. Every comparison between them below is exact (EXPECT_EQ,
-        // memcmp), which is the acceptance bar for the PlfPlan refactor:
-        // batching and fusing must not move a single bit on any backend.
-        BackendHolder h_call = BackendHolder::make(kind);
+        // Twins: same backend kind, same variant — only the executor
+        // differs (PerCallBackend's per-op loop vs the backend's own
+        // run_plan). Every comparison between them below is exact
+        // (EXPECT_EQ, memcmp), which is the acceptance bar for the PlfPlan
+        // refactor: batching and fusing must not move a single bit on any
+        // backend.
+        BackendHolder h_call = BackendHolder::make(kind, /*per_call=*/true);
         BackendHolder h_plan = BackendHolder::make(kind);
-        PlfEngine percall(d.data, d.params, d.tree, *h_call.backend, variant,
-                          DispatchMode::kPerCall);
-        PlfEngine plan(d.data, d.params, d.tree, *h_plan.backend, variant,
-                       DispatchMode::kPlan);
+        PlfEngine percall(d.data, d.params, d.tree, h_call.executor(),
+                          variant);
+        PlfEngine plan(d.data, d.params, d.tree, h_plan.executor(), variant);
 
         // Bit-identical lnL and root CLVs, and the plan path must actually
         // have built plans.
@@ -163,7 +169,6 @@ TEST_P(BackendDiffTest, PerCallAndPlanAgreeBitwiseAndMatchReference) {
                               plan.node_cl(plan.tree().root()),
                               m * K * 4 * sizeof(float)),
                   0);
-        EXPECT_EQ(percall.stats().plan_builds, 0u);
         EXPECT_GT(plan.stats().plan_builds, 0u);
         EXPECT_GT(plan.stats().plan_ops, 0u);
         // Identical work, batched: the kernel-call accounting must agree.
@@ -255,28 +260,30 @@ TEST(BackendDiffCrossBackendTest, SerialVsThreadedBitIdentical) {
 //
 // A budgeted engine rematerializes evicted CLVs through the same kernels the
 // unbudgeted twin used to compute them, so eviction must not move a single
-// bit on ANY backend, in EITHER dispatch mode. The twins'
+// bit on ANY backend, under EITHER executor (PerCallBackend or the backend's
+// own run_plan). The twins'
 // kernel-call accounting legitimately differs (rematerialization is extra
 // work), so only lnL and CLV bits are compared — never stats.
 
-using BudgetParam = std::tuple<BackendKind, DispatchMode>;
+/// (backend, per_call): per_call runs both twins through PerCallBackend.
+using BudgetParam = std::tuple<BackendKind, bool>;
 
 class BudgetedDiffTest : public ::testing::TestWithParam<BudgetParam> {};
 
 TEST_P(BudgetedDiffTest, HalfBudgetBitIdenticalToUnbudgetedTwin) {
-  const auto [kind, dispatch] = GetParam();
+  const auto [kind, per_call] = GetParam();
   const Dataset d = make_dataset(59, 4, 0.1);
   const std::size_t m = d.data.n_patterns();
 
-  BackendHolder h_budget = BackendHolder::make(kind);
-  BackendHolder h_full = BackendHolder::make(kind);
+  BackendHolder h_budget = BackendHolder::make(kind, per_call);
+  BackendHolder h_full = BackendHolder::make(kind, per_call);
   ClvBudget half;
   half.kind = ClvBudget::Kind::kFraction;
   half.fraction = 0.5;  // the minimum feasible working set
-  PlfEngine budgeted(d.data, d.params, d.tree, *h_budget.backend,
-                     KernelVariant::kSimdCol, dispatch, half);
-  PlfEngine full(d.data, d.params, d.tree, *h_full.backend,
-                 KernelVariant::kSimdCol, dispatch);
+  PlfEngine budgeted(d.data, d.params, d.tree, h_budget.executor(),
+                     KernelVariant::kSimdCol, half);
+  PlfEngine full(d.data, d.params, d.tree, h_full.executor(),
+                 KernelVariant::kSimdCol);
 
   EXPECT_EQ(budgeted.log_likelihood(), full.log_likelihood());
 
@@ -330,10 +337,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded,
                           BackendKind::kCell, BackendKind::kGpu),
-        ::testing::Values(DispatchMode::kPerCall, DispatchMode::kPlan)),
+        ::testing::Values(true, false)),
     [](const ::testing::TestParamInfo<BudgetParam>& info) {
-      return std::string(name_of(std::get<0>(info.param))) + "_" +
-             to_string(std::get<1>(info.param));
+      return std::string(name_of(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_percall" : "_plan");
     });
 
 INSTANTIATE_TEST_SUITE_P(

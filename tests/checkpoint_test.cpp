@@ -3,7 +3,8 @@
 // The contract under test is exact resumption: serialize a running
 // engine+chain (or a whole coupled run), restore into a freshly constructed
 // twin, continue both, and every subsequent log likelihood matches to the
-// LAST BIT (0 ULP) — across backends, dispatch modes, and the budgeted CLV
+// LAST BIT (0 ULP) — across backends, per-call and plan dispatch
+// (core::PerCallBackend vs the backend's own run_plan), and the budgeted CLV
 // arena, whose evicted vectors are rematerialized rather than serialized.
 // Anything weaker would make a resumed run a different run.
 #include <gtest/gtest.h>
@@ -48,20 +49,19 @@ Instance make_instance(std::size_t taxa, std::size_t cols, std::uint64_t seed) {
 struct Combo {
   const char* name;
   bool threaded;
-  core::DispatchMode dispatch;
+  bool per_call;       // run through core::PerCallBackend
   const char* budget;  // nullptr: unlimited
 };
 
 constexpr Combo kCombos[] = {
-    {"serial/percall/unlimited", false, core::DispatchMode::kPerCall, nullptr},
-    {"serial/plan/unlimited", false, core::DispatchMode::kPlan, nullptr},
-    {"threaded/percall/unlimited", true, core::DispatchMode::kPerCall,
-     nullptr},
-    {"threaded/plan/unlimited", true, core::DispatchMode::kPlan, nullptr},
-    {"serial/percall/0.5", false, core::DispatchMode::kPerCall, "0.5"},
-    {"serial/plan/0.5", false, core::DispatchMode::kPlan, "0.5"},
-    {"threaded/percall/0.5", true, core::DispatchMode::kPerCall, "0.5"},
-    {"threaded/plan/0.5", true, core::DispatchMode::kPlan, "0.5"},
+    {"serial/percall/unlimited", false, true, nullptr},
+    {"serial/plan/unlimited", false, false, nullptr},
+    {"threaded/percall/unlimited", true, true, nullptr},
+    {"threaded/plan/unlimited", true, false, nullptr},
+    {"serial/percall/0.5", false, true, "0.5"},
+    {"serial/plan/0.5", false, false, "0.5"},
+    {"threaded/percall/0.5", true, true, "0.5"},
+    {"threaded/plan/0.5", true, false, "0.5"},
 };
 
 TEST(CheckpointTest, EngineChainRoundTripResumesBitExact) {
@@ -72,16 +72,18 @@ TEST(CheckpointTest, EngineChainRoundTripResumesBitExact) {
 
   for (const Combo& c : kCombos) {
     SCOPED_TRACE(c.name);
-    core::ExecutionBackend& backend = c.threaded
-                                          ? static_cast<core::ExecutionBackend&>(threaded)
-                                          : serial;
+    core::ExecutionBackend& inner =
+        c.threaded ? static_cast<core::ExecutionBackend&>(threaded) : serial;
+    core::PerCallBackend per_call(inner);
+    core::ExecutionBackend& backend =
+        c.per_call ? static_cast<core::ExecutionBackend&>(per_call) : inner;
     const core::ClvBudget budget = c.budget == nullptr
                                        ? core::ClvBudget{}
                                        : core::clv_budget_from_string(c.budget);
     const auto make_engine = [&] {
       return std::make_unique<core::PlfEngine>(
           inst.data, inst.params, inst.tree, backend,
-          core::KernelVariant::kSimdCol, c.dispatch, budget);
+          core::KernelVariant::kSimdCol, budget);
     };
     McmcOptions mo;
     mo.seed = 33;

@@ -178,6 +178,26 @@ TEST(McmcTest, WorkloadBridgeCountsMatchEngine) {
   EXPECT_GE(w.serial_cycles, 0.0);
 }
 
+// McmcResult::engine_stats covers run() alone: the chain constructor's
+// evaluation must come off every counter, not just the call counts. Every
+// evaluation with dirty nodes builds one plan holding one root op, so a run's
+// plan builds and root calls agree exactly.
+TEST(McmcTest, RunStatsExcludeConstructorEvaluation) {
+  auto inst = make_instance(12, 120, 7);
+  core::SerialBackend backend;
+  core::PlfEngine engine(inst.data, inst.params, inst.tree, backend);
+  McmcOptions opts;
+  opts.seed = 17;
+  McmcChain chain(engine, opts);
+  const auto result = chain.run(400);
+
+  const core::EngineStats& s = result.engine_stats;
+  EXPECT_GT(s.root_calls, 0u);
+  EXPECT_EQ(s.plan_builds, s.root_calls);
+  EXPECT_EQ(s.plan_ops, s.down_calls + s.root_calls);
+  EXPECT_EQ(engine.stats().plan_builds, s.plan_builds + 1);
+}
+
 TEST(McmcTest, AnalyticWorkloadApproximatesMeasured) {
   // The arch module's analytic fallback should land within ~35% of a real
   // chain's measured call counts (it models an average proposal mix).

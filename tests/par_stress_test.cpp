@@ -165,11 +165,10 @@ TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
   auto data = phylo::PatternMatrix::compress(ev.evolve(600, rng));
 
   core::PlfEngine plan(data, params, tree, threaded,
-                       core::KernelVariant::kSimdCol,
-                       core::DispatchMode::kPlan);
-  core::PlfEngine percall(data, params, tree, threaded,
-                          core::KernelVariant::kSimdCol,
-                          core::DispatchMode::kPerCall);
+                       core::KernelVariant::kSimdCol);
+  core::PerCallBackend per_call(threaded);
+  core::PlfEngine percall(data, params, tree, per_call,
+                          core::KernelVariant::kSimdCol);
 
   std::atomic<bool> stop{false};
   std::thread flusher([&] {
@@ -231,11 +230,9 @@ TEST(ParStressTest, BudgetedArenaHammeredWhileMetricsFlusherReads) {
 
   core::PlfEngine budgeted(data, params, tree, threaded,
                            core::KernelVariant::kSimdCol,
-                           core::DispatchMode::kPlan,
                            core::clv_budget_from_string("0.5"));
   core::PlfEngine full(data, params, tree, threaded,
-                       core::KernelVariant::kSimdCol,
-                       core::DispatchMode::kPlan);
+                       core::KernelVariant::kSimdCol);
 
   std::atomic<bool> stop{false};
   std::thread flusher([&] {
@@ -307,11 +304,10 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
   auto data = phylo::PatternMatrix::compress(ev.evolve(600, rng));
 
   core::PlfEngine plan(data, params, tree, threaded,
-                       core::KernelVariant::kSimdCol,
-                       core::DispatchMode::kPlan);
-  core::PlfEngine percall(data, params, tree, threaded,
-                          core::KernelVariant::kSimdCol,
-                          core::DispatchMode::kPerCall);
+                       core::KernelVariant::kSimdCol);
+  core::PerCallBackend per_call(threaded);
+  core::PlfEngine percall(data, params, tree, per_call,
+                          core::KernelVariant::kSimdCol);
   ASSERT_TRUE(plan.tip_kernels_enabled());
 
   std::atomic<bool> stop{false};
@@ -379,12 +375,10 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
   std::vector<std::unique_ptr<core::PlfEngine>> engines;
   for (std::size_t i = 0; i < kInstances; ++i) {
     engines.push_back(std::make_unique<core::PlfEngine>(
-        data, params, tree, threaded, core::KernelVariant::kSimdCol,
-        core::DispatchMode::kPlan));
+        data, params, tree, threaded, core::KernelVariant::kSimdCol));
   }
   core::PlfEngine reference(data, params, tree, threaded,
-                            core::KernelVariant::kSimdCol,
-                            core::DispatchMode::kPlan);
+                            core::KernelVariant::kSimdCol);
 
   std::atomic<bool> stop{false};
   std::thread flusher([&] {

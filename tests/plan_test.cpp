@@ -163,14 +163,6 @@ TEST(PlfPlanTest, DuplicateOpForNodeIsRejected) {
   EXPECT_THROW(plan.add(op, 1), Error);
 }
 
-TEST(DispatchModeTest, StringRoundTrip) {
-  EXPECT_EQ(dispatch_mode_from_string("percall"), DispatchMode::kPerCall);
-  EXPECT_EQ(dispatch_mode_from_string("plan"), DispatchMode::kPlan);
-  EXPECT_EQ(to_string(DispatchMode::kPerCall), "percall");
-  EXPECT_EQ(to_string(DispatchMode::kPlan), "plan");
-  EXPECT_THROW(dispatch_mode_from_string("batched"), Error);
-}
-
 // --- layer 3: engine differential -------------------------------------------
 
 struct Dataset {
@@ -201,8 +193,12 @@ enum class BackendKind { kSerial, kThreaded, kCell, kGpu };
 struct BackendHolder {
   std::unique_ptr<par::ThreadPool> pool;
   std::unique_ptr<ExecutionBackend> backend;
+  std::unique_ptr<PerCallBackend> per_call;  ///< set by make(kind, true)
 
-  static BackendHolder make(BackendKind kind) {
+  /// What an engine runs on: the backend, or per-call dispatch over it.
+  ExecutionBackend& executor() { return per_call ? *per_call : *backend; }
+
+  static BackendHolder make(BackendKind kind, bool per_call = false) {
     BackendHolder h;
     switch (kind) {
       case BackendKind::kSerial:
@@ -222,25 +218,26 @@ struct BackendHolder {
         h.backend = std::make_unique<gpu::GpuPlf>(gpu::GpuPlfConfig{});
         break;
     }
+    if (per_call) h.per_call = std::make_unique<PerCallBackend>(*h.backend);
     return h;
   }
 };
 
-/// Drive a per-call engine and a plan engine through the same randomized
+/// Drive a per-call engine (core::PerCallBackend over the backend) and a plan
+/// engine (the backend's own run_plan) through the same randomized
 /// move/accept/reject sequence and require bit-identical lnL at every
 /// evaluation. Branch-length moves leave the incremental scaler-total path
 /// live; NNIs and rejects force the full-resum fallback — both engines pass
 /// through the identical sequence of states, so every comparison is exact.
 void lockstep_storm(BackendKind kind, std::uint64_t seed) {
   const Dataset d = make_dataset(seed, 10);
-  BackendHolder h_pc = BackendHolder::make(kind);
+  BackendHolder h_pc = BackendHolder::make(kind, /*per_call=*/true);
   BackendHolder h_plan = BackendHolder::make(kind);
-  PlfEngine percall(d.data, d.params, d.tree, *h_pc.backend,
-                    KernelVariant::kSimdCol, DispatchMode::kPerCall);
-  PlfEngine plan(d.data, d.params, d.tree, *h_plan.backend,
-                 KernelVariant::kSimdCol, DispatchMode::kPlan);
-  ASSERT_EQ(percall.dispatch_mode(), DispatchMode::kPerCall);
-  ASSERT_EQ(plan.dispatch_mode(), DispatchMode::kPlan);
+  PlfEngine percall(d.data, d.params, d.tree, h_pc.executor(),
+                    KernelVariant::kSimdCol);
+  PlfEngine plan(d.data, d.params, d.tree, h_plan.executor(),
+                 KernelVariant::kSimdCol);
+  ASSERT_FALSE(percall.tip_kernels_enabled());
 
   EXPECT_EQ(percall.log_likelihood(), plan.log_likelihood());
 
@@ -267,7 +264,7 @@ void lockstep_storm(BackendKind kind, std::uint64_t seed) {
     } else {
       // Two evaluated moves in the same proposal on the same branch: the
       // second recompute must overwrite the ACTIVE buffers (flip-epoch
-      // path), in both dispatch modes identically.
+      // path), on both executors identically.
       const int leaf = percall.tree().leaf_of(
           static_cast<int>(rng.below(percall.data().n_taxa())));
       const double len = rng.uniform(0.01, 1.2);
@@ -319,8 +316,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PlanEngineTest, PlanShapeMatchesTreeOnFirstEvaluation) {
   const Dataset d = make_dataset(5, 12);
   SerialBackend backend;
-  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              DispatchMode::kPlan);
+  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol);
   e.log_likelihood();
 
   const std::size_t n_internals = d.tree.postorder_internals().size();
@@ -355,8 +351,7 @@ TEST(PlanEngineTest, TipOpKindsMatchTreeShape) {
       aln.names(), cols, std::vector<std::uint32_t>(cols.size(), 1));
 
   SerialBackend backend;
-  PlfEngine e(data, params, tree, backend, KernelVariant::kSimdCol,
-              DispatchMode::kPlan);
+  PlfEngine e(data, params, tree, backend, KernelVariant::kSimdCol);
   ASSERT_TRUE(e.tip_kernels_enabled());
   e.log_likelihood();
 
@@ -380,8 +375,7 @@ TEST(PlanEngineTest, TipOpKindsMatchTreeShape) {
 TEST(PlanEngineTest, PairTablesRebuildOnlyWhenCherryBranchesChange) {
   const Dataset d = make_dataset(29, 10);
   SerialBackend backend;
-  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              DispatchMode::kPlan);
+  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol);
   e.log_likelihood();
   const std::uint64_t built0 = e.stats().tip_tables_built;
   const std::uint64_t tt0 = e.stats().tip_tt_ops;
@@ -418,8 +412,7 @@ TEST(PlanEngineTest, PairTablesRebuildOnlyWhenCherryBranchesChange) {
 TEST(IncrementalScalerTest, ResumsOnlyOnTopologyChangesAndRejects) {
   const Dataset d = make_dataset(17, 9);
   SerialBackend backend;
-  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              DispatchMode::kPlan);
+  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol);
 
   e.log_likelihood();  // first evaluation: full resum, no deltas possible
   EXPECT_EQ(e.stats().scaler_resums, 1u);
@@ -465,7 +458,7 @@ TEST(IncrementalScalerTest, ResumsOnlyOnTopologyChangesAndRejects) {
   // scaler_total differs by accumulated subtract/add rounding at most).
   SerialBackend backend2;
   PlfEngine fresh(d.data, e.model_params(), e.tree(), backend2,
-                  KernelVariant::kSimdCol, DispatchMode::kPlan);
+                  KernelVariant::kSimdCol);
   const double lnl = e.log_likelihood();
   EXPECT_NEAR(lnl, fresh.log_likelihood(), std::abs(lnl) * 1e-12);
 }
@@ -499,8 +492,7 @@ TEST(PlanArenaTest, EvictedAncestorIsLeveledBeforeItsDependents) {
   ClvBudget half;
   half.kind = ClvBudget::Kind::kFraction;
   half.fraction = 0.5;
-  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              DispatchMode::kPlan, half);
+  PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol, half);
   e.log_likelihood();
 
   const int leaf = e.tree().leaf_of(0);
@@ -537,7 +529,7 @@ TEST(PlanArenaTest, RematerializationRidesTheDirtyPlanNotASecondPass) {
   const Dataset d = make_dataset(89, 10);
   SerialBackend backend;
   PlfEngine e(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol,
-              DispatchMode::kPlan, clv_budget_from_string("0.5"));
+              clv_budget_from_string("0.5"));
   e.log_likelihood();
   const std::uint64_t ops_baseline = e.stats().plan_ops;
 

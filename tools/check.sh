@@ -29,11 +29,12 @@ warn() { printf '\033[1;33mwarning: %s\033[0m\n' "$*" >&2; }
 # Steps are chained with && because stages run inside an if-condition
 # (run_stage), which suppresses `set -e` in the function body: without the
 # chain a failed configure/build would fall through to ctest against a stale
-# tree and could be masked as a pass.
+# tree and could be masked as a pass. Configure steps pass -DPLF_WERROR=ON, as
+# CI does, so a warning fails here before it fails there.
 run_preset() {
   local preset="$1"
   note "preset '${preset}': configure" &&
-    cmake --preset "${preset}" &&
+    cmake --preset "${preset}" -DPLF_WERROR=ON &&
     note "preset '${preset}': build" &&
     cmake --build --preset "${preset}" -j "${JOBS}" &&
     note "preset '${preset}': ctest" &&
@@ -45,17 +46,17 @@ stage_asan()  { run_preset asan-ubsan; }
 stage_tsan()  { run_preset tsan; }
 
 # Checked-contract build running the plan-dispatch and tip-kernel
-# differential suites: every backend x percall/plan cross-check plus the
+# differential suites: every backend x PerCallBackend/plan cross-check plus the
 # plan and tip-kernel conformance tests, with the PLF_DCHECK-level contracts
 # (plan leveling, tip-state range etc.) armed.
 stage_checked() {
   note "preset 'checked': configure" &&
-    cmake --preset checked &&
+    cmake --preset checked -DPLF_WERROR=ON &&
     note "preset 'checked': build" &&
     cmake --build --preset checked -j "${JOBS}" &&
     note "preset 'checked': differential suite" &&
     ctest --preset checked \
-      -R 'BackendDiff|Contract|Check|Plan|ComputeLevels|DispatchMode|IncrementalScaler|TipKernel|TipPairTable|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge'
+      -R 'BackendDiff|Contract|Check|Plan|ComputeLevels|IncrementalScaler|TipKernel|TipPairTable|FusedScale|Arena|Budget|Checkpoint|InstanceScheduler|Partition|Coupled|Telemetry|StreamingEss|SplitRhat|DiagnosticsEdge'
 }
 
 # Quick bench-suite smoke: produces a schema-valid BENCH json and runs the
@@ -79,7 +80,7 @@ stage_tidy() {
     return 0
   fi
   note "preset 'tidy': configure + build (clang-tidy on every TU)" &&
-    cmake --preset tidy &&
+    cmake --preset tidy -DPLF_WERROR=ON &&
     cmake --build --preset tidy -j "${JOBS}"
 }
 
@@ -88,7 +89,7 @@ stage_tidy() {
 # findings; the suppression file is the only sanctioned escape hatch.
 stage_lint() {
   note "lint: configure + build plf_lint" &&
-    cmake --preset default &&
+    cmake --preset default -DPLF_WERROR=ON &&
     cmake --build --preset default -j "${JOBS}" --target plf_lint &&
     note "lint: plf_lint over src/" &&
     build-default/tools/plf_lint \
