@@ -2,17 +2,18 @@
 //
 // Same engine, same threaded backend, same kernels — only the executor
 // differs: per-call is the backend wrapped in core::PerCallBackend (generic
-// kernels, one region per call), plan is its own fused run_plan. Results are
-// bit-identical (tests/backend_diff_test.cpp), so
-// any wall-time gap is pure dispatch overhead: spawn/sync barriers and the
-// extra memory pass the unfused CondLikeScaler makes over each CLV block.
+// kernels, one region per call), plan is its own run_plan (one region per
+// plan, each op's down/root and scale kernels back to back per site chunk).
+// Results are bit-identical (tests/backend_diff_test.cpp), so any wall-time
+// gap is pure dispatch overhead: spawn/sync barriers and the cold second
+// pass the per-call CondLikeScaler makes over each whole CLV block.
 // The pattern count matches the paper's real ssu-rRNA alignment (8,543
 // distinct patterns, §4) and the tree its 20-taxon scaling study.
 //
 // Two workloads bracket the MCMC mix:
 //   branch move  recompute one leaf-to-root path (the common proposal);
 //                every op depends on the previous, so batching wins by
-//                halving the barriers (down+scale fused) per node
+//                halving the barriers (down+scale share a region) per node
 //   model move   recompute every internal (worst case for per-call:
 //                2 regions per op vs 1 region per plan)
 #include <chrono>

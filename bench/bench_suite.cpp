@@ -168,8 +168,6 @@ struct Operands {
     a.left_mask = mask_l.data();
     a.right_mask = mask_r.data();
     a.pair = pair.raw();
-    a.pair_scaled = pair.scaled();
-    a.pair_ln = pair.ln_factors();
     a.out = out.data();
     a.K = K;
     a.table_categories = pair.n_categories();
@@ -227,20 +225,17 @@ CaseStat kernel_case(const std::string& op_name,
   return cs;
 }
 
-/// Tip-specialized and fused kernel cases (docs/KERNELS.md), all on the
-/// production simd-col entries where a variant matters; the tip×tip gather is
+/// Tip-specialized kernel cases (docs/KERNELS.md), on the production
+/// simd-col entries where a variant matters; the tip×tip gather is
 /// variant-independent. Case names:
 ///   kernel.down.tip-inner    tip-partial row instead of the left matvec
 ///   kernel.down.tip-tip      per-pair table gather (cherry nodes)
-///   kernel.down_scale.fused  single-pass down + rescale over one CLV sweep
 CaseStat tip_kernel_case(const std::string& case_name, std::uint64_t iters,
                          int reps) {
   Operands op(kPatterns);
   const auto& ks = core::kernels(core::KernelVariant::kSimdCol);
   const auto ti_args = op.down_tip_inner();
   const auto tt_args = op.down_tip_tip();
-  const auto fused_down = op.down();
-  core::ScaleArgs fused_scale{op.out.data(), op.ln_scaler.data(), op.K};
 
   CaseStat cs;
   cs.name = "kernel." + case_name;
@@ -253,10 +248,8 @@ CaseStat tip_kernel_case(const std::string& case_name, std::uint64_t iters,
     for (std::uint64_t i = 0; i < iters; ++i) {
       if (case_name == "down.tip-tip") {
         ks.down_tt(tt_args, 0, op.m);
-      } else if (case_name == "down.tip-inner") {
-        ks.down_ti(ti_args, 0, op.m);
       } else {
-        ks.down_scale(fused_down, fused_scale, 0, op.m);
+        ks.down_ti(ti_args, 0, op.m);
       }
       sink += static_cast<double>(op.out[0]);
     }
@@ -573,7 +566,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (const char* c : {"down.tip-tip", "down.tip-inner", "down_scale.fused"}) {
+  for (const char* c : {"down.tip-tip", "down.tip-inner"}) {
     cases.push_back(tip_kernel_case(c, kernel_iters, reps));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
               << " us/call (min of " << reps << ")\n";

@@ -10,28 +10,30 @@ namespace plf::core {
 
 namespace {
 
-/// One plan op's fused down/root + rescale over [begin, end), dispatched by
-/// the op's specialization kind. Every path is a per-site composition of the
-/// unfused kernels (or an exact-precomputation gather), so regrouping
-/// (op, chunk) work through this helper stays bit-identical to the per-call
-/// loop — the invariant the backend_diff twins pin down.
-inline void run_op_fused(const KernelSet& ks, const PlfOp& op,
-                         std::size_t begin, std::size_t end) {
+/// One plan op over [begin, end): the paper's kernels back to back on the
+/// same site chunk — the op's down/root kernel, picked by its specialization
+/// kind, then `scale` (which aliases the op's output; check_plan). Every
+/// kernel is per-site, so regrouping (op, chunk) work through this helper
+/// stays bit-identical to the per-call loop — the invariant the backend_diff
+/// twins pin down.
+inline void run_op(const KernelSet& ks, const PlfOp& op, std::size_t begin,
+                   std::size_t end) {
   if (op.is_root) {
-    ks.root_scale(op.args, op.scale, begin, end);
-    return;
+    ks.root(op.args, begin, end);
+  } else {
+    switch (op.kind) {
+      case PlfOpKind::kTipTip:
+        ks.down_tt(op.tt, begin, end);
+        break;
+      case PlfOpKind::kTipInner:
+        ks.down_ti(op.args.down, begin, end);
+        break;
+      case PlfOpKind::kGeneric:
+        ks.down(op.args.down, begin, end);
+        break;
+    }
   }
-  switch (op.kind) {
-    case PlfOpKind::kTipTip:
-      ks.down_tt_scale(op.tt, op.scale, begin, end);
-      break;
-    case PlfOpKind::kTipInner:
-      ks.down_ti_scale(op.args.down, op.scale, begin, end);
-      break;
-    case PlfOpKind::kGeneric:
-      ks.down_scale(op.args.down, op.scale, begin, end);
-      break;
-  }
+  ks.scale(op.scale, begin, end);
 }
 
 }  // namespace
@@ -74,17 +76,16 @@ double SerialBackend::run_root_reduce(const KernelSet& ks,
 
 void SerialBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   detail::check_plan(plan);
-  // Plan order through the fused entries: one CLV sweep per op (down/root +
-  // rescale in the same pass) and the tip-specialized gathers where the
-  // engine marked them. The rescale time lands in the down/root timer —
-  // that is the point of fusion; there is no separate scaler pass left.
+  // Plan order, each op as its down/root kernel (tip-specialized where the
+  // engine marked it) then scale over the whole range. The op's scale stage
+  // runs inside its down/root timer scope, so that timer holds the whole op.
   for (const PlfOp& op : plan.ops()) {
     if (op.is_root) {
       PLF_PROF_SCOPE(obs::kTimerCondLikeRoot);
-      run_op_fused(ks, op, 0, plan.m());
+      run_op(ks, op, 0, plan.m());
     } else {
       PLF_PROF_SCOPE(obs::kTimerCondLikeDown);
-      run_op_fused(ks, op, 0, plan.m());
+      run_op(ks, op, 0, plan.m());
     }
   }
 }
@@ -149,7 +150,7 @@ void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, 2 * ops.size() - 1);
   PLF_PROF_SCOPE(obs::kTimerPlanLevel);
   pool_.parallel_for(0, plan.m(), [&](par::Range r, std::size_t) {
-    for (const PlfOp& op : ops) run_op_fused(ks, op, r.begin, r.end);
+    for (const PlfOp& op : ops) run_op(ks, op, r.begin, r.end);
   });
 }
 

@@ -17,8 +17,9 @@
 //       (core/plan.hpp), the engine's only entry. The default implementation
 //       loops ops through the per-call entries, so every backend is
 //       plan-capable and bit-identical to per-call dispatch from day one;
-//       backends override it to fuse kernels and amortize synchronization
-//       across the plan. PerCallBackend pins any backend to that default.
+//       backends override it to run each op's kernels back to back per site
+//       chunk and amortize synchronization across the plan. PerCallBackend
+//       pins any backend to that default.
 #pragma once
 
 #include <cstddef>
@@ -71,16 +72,17 @@ class ExecutionBackend {
                                  const RootReduceArgs& args, std::size_t m) = 0;
 
   /// Execute a finalized dependency-leveled batch (see core/plan.hpp):
-  /// every op's fused down/root + scale kernels, respecting level order. The
-  /// default walks ops in plan order through the per-call entries above —
-  /// bit-identical to per-call dispatch. Overrides must preserve that bit-identity (per-site math is
-  /// partition-invariant; level order keeps the data dependencies).
+  /// every op's down/root kernel then its scale kernel, respecting level
+  /// order. The default walks ops in plan order through the per-call entries
+  /// above — bit-identical to per-call dispatch. Overrides must preserve that
+  /// bit-identity (per-site math is partition-invariant; level order keeps
+  /// the data dependencies).
   virtual void run_plan(const KernelSet& ks, const PlfPlan& plan);
 };
 
 /// Per-call dispatch as an executor: wraps `inner`, forwards the four per-call
 /// entries and advertises no capabilities, so the inherited base run_plan
-/// walks every op through the generic, unfused kernels with one
+/// walks every op through the generic kernels with one
 /// synchronization per call. That is the paper's per-call structure (Fig. 9)
 /// and the 0-ULP reference every plan executor is diffed against.
 class PerCallBackend final : public ExecutionBackend {
@@ -121,17 +123,18 @@ class SerialBackend final : public ExecutionBackend {
   void run_scale(const KernelSet& ks, const ScaleArgs& a, std::size_t m) override;
   double run_root_reduce(const KernelSet& ks, const RootReduceArgs& a,
                          std::size_t m) override;
-  /// Ops in plan order through the fused + tip-specialized kernel entries
-  /// (one CLV sweep per op instead of two).
+  /// Ops in plan order, each as its (tip-specialized where marked) down/root
+  /// kernel then scale, with no per-call indirection.
   void run_plan(const KernelSet& ks, const PlfPlan& plan) override;
 };
 
 /// OpenMP-style parallel-for over the outermost pattern loop (§3.2): one
 /// parallel region per PLF invocation with an implicit barrier at the end —
 /// the spawn/sync structure whose overhead drives Fig. 9. run_plan lifts
-/// that structure to one region per plan: each worker runs every op's fused
-/// down/root + scale, in level order, on its own site chunk, so a k-node
-/// plan costs 1 region instead of per-call's 2k (docs/EXECUTION_PLAN.md).
+/// that structure to one region per plan: each worker runs every op's
+/// down/root kernel then scale, in level order, on its own site chunk, so a
+/// k-node plan costs 1 region instead of per-call's 2k
+/// (docs/EXECUTION_PLAN.md).
 class ThreadedBackend final : public ExecutionBackend {
  public:
   explicit ThreadedBackend(par::ThreadPool& pool) : pool_(pool) {}

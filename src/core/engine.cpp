@@ -338,7 +338,7 @@ void PlfEngine::collect_recompute_targets() {
   // reads must be resident, and a non-resident one joins the set as a
   // rematerialization — recursively, since its own children may be evicted
   // too. The existing leveling/dispatch machinery then rebuilds them in the
-  // same fused plan, children before parents.
+  // same plan, children before parents.
   while (!work.empty()) {
     const int id = work.back();
     work.pop_back();
@@ -474,8 +474,6 @@ void PlfEngine::build_plan() {
         op.tt.left_mask = op.args.down.left.mask;
         op.tt.right_mask = op.args.down.right.mask;
         op.tt.pair = st.pair.raw();
-        op.tt.pair_scaled = st.pair.scaled();
-        op.tt.pair_ln = st.pair.ln_factors();
         op.tt.out = out;
         op.tt.K = k_;
         op.tt.table_categories = st.pair.n_categories();

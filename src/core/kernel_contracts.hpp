@@ -108,17 +108,6 @@ inline void check_down_tt(const TipTipArgs& a, std::size_t begin,
 #endif
 }
 
-/// Fused down/root + scale trust boundary: the scale block must alias the
-/// down output and describe the same rows, otherwise the single pass would
-/// rescale rows the down stage never wrote.
-inline void check_fused_scale(const ScaleArgs& s, const float* down_out,
-                              std::size_t K) {
-  PLF_DCHECK(s.cl == down_out,
-             "fused scale: scale block must alias the down output");
-  PLF_DCHECK(s.K == K, "fused scale: rate-category mismatch");
-  PLF_DCHECK(s.ln_scaler != nullptr, "fused scale: null scaler row");
-}
-
 inline void check_root(const RootArgs& a, std::size_t begin, std::size_t end,
                        bool needs_transpose) {
   check_down(a.down, begin, end, needs_transpose);
@@ -150,18 +139,19 @@ inline void check_root_reduce(const RootReduceArgs& a, std::size_t begin,
 
 /// Trust boundary of batched dispatch: every run_plan implementation calls
 /// this once per plan before touching any op. Checked-build body verifies
-/// the properties the executors rely on for correctness under fusion and
-/// per-level parallelism (O(ops + children) — once per evaluation, not per
-/// site):
+/// the properties the executors rely on for correctness when they run each
+/// op's kernels back to back per site chunk (O(ops + children) — once per
+/// evaluation, not per site):
 ///
 ///   - the plan is finalized and its level ranges tile ops() exactly, with
 ///     no empty level (levels are dense by construction);
 ///   - each op sits in the level the plan indexes it under, and every child
 ///     with an op of its own sits in a STRICTLY earlier level (ops outside
 ///     the plan report level -1), so intra-level execution order is free;
-///   - the fused scale stage aliases the op's own down/root output
-///     (scale.cl == args.down.out) with a real scaler row to fill, so a
-///     backend may rescale each site chunk immediately after computing it;
+///   - the scale stage aliases the op's own down/root output
+///     (scale.cl == args.down.out) with a real scaler row to fill, so an
+///     executor may run `scale` on each site chunk right after the op's
+///     down/root kernel has written it;
 ///   - every op iterates the plan's full pattern count.
 inline void check_plan(const PlfPlan& plan) {
   PLF_DCHECK(plan.finalized(), "run_plan: plan must be finalized");
@@ -182,9 +172,9 @@ inline void check_plan(const PlfPlan& plan) {
                    "run_plan: child op must be in a strictly earlier level");
       }
       PLF_DCHECK(op.scale.cl == op.args.down.out,
-                 "run_plan: fused scale must alias the op's down output");
+                 "run_plan: scale stage must alias the op's down output");
       PLF_DCHECK(op.scale.ln_scaler != nullptr,
-                 "run_plan: fused scale needs a scaler row");
+                 "run_plan: scale stage needs a scaler row");
       PLF_DCHECK(op.run_m == plan.m(),
                  "run_plan: op run_m must equal the plan's pattern count");
       if (op.kind != PlfOpKind::kGeneric) {

@@ -76,18 +76,15 @@ struct RootArgs {
 /// When BOTH children are tips, the per-site work collapses entirely: the
 /// output row depends only on the (left_mask, right_mask) pair, which takes
 /// at most 16×16 values. The engine precomputes a per-edge-pair table
-/// (core/tip_partial.hpp TipPairTable) holding each pair's K*4 output row —
-/// raw, plus a prescaled copy with its log scale factor so the fused
-/// down+scale entry is a pure gather. Table layout:
+/// (core/tip_partial.hpp TipPairTable) holding each pair's K*4 output row,
+/// so the kernel is a pure gather. Table layout:
 ///   pair = left_mask * kNumMasks + right_mask
 ///   pair_tables[pair * K * 4 + k * 4 + i]
 struct TipTipArgs {
   const StateMask* left_mask = nullptr;   ///< left tip pattern masks
   const StateMask* right_mask = nullptr;  ///< right tip pattern masks
-  const float* pair = nullptr;         ///< raw product rows (down output)
-  const float* pair_scaled = nullptr;  ///< prescaled rows (fused down+scale)
-  const float* pair_ln = nullptr;      ///< per-pair log scale factor
-  float* out = nullptr;                ///< clP, standard CLV layout
+  const float* pair = nullptr;            ///< product rows (down output)
+  float* out = nullptr;                   ///< clP, standard CLV layout
   std::size_t K = 4;
   /// Rate-category count the tables were built for; contract-checked == K so
   /// a stale or foreign table cannot be gathered at the wrong row stride.
@@ -142,39 +139,23 @@ using RootReduceFn = double (*)(const RootReduceArgs&, std::size_t begin,
                                 std::size_t end);
 using DownTipTipFn = void (*)(const TipTipArgs&, std::size_t begin,
                               std::size_t end);
-/// Fused down/root + per-site rescale in one pass. The scale block must alias
-/// the down output (ScaleArgs::cl == out; contract-checked), exactly the
-/// PlfPlan invariant, so the rescale happens while the freshly computed row
-/// is still in registers — one CLV sweep instead of two. Fused entries are
-/// per-site compositions of the unfused bodies and therefore bit-identical
-/// to calling down then scale over the same range.
-using DownScaleFn = void (*)(const DownArgs&, const ScaleArgs&,
-                             std::size_t begin, std::size_t end);
-using RootScaleFn = void (*)(const RootArgs&, const ScaleArgs&,
-                             std::size_t begin, std::size_t end);
-using DownTipTipScaleFn = void (*)(const TipTipArgs&, const ScaleArgs&,
-                                   std::size_t begin, std::size_t end);
-
 enum class KernelVariant { kScalar, kSimdRow, kSimdCol, kSimdCol8 };
 
 std::string to_string(KernelVariant v);
 
-/// The kernels for one variant: the four generic entries plus the
-/// tip-specialized and fused forms plan-capable backends dispatch to
-/// (docs/KERNELS.md). down_tt/down_tt_scale are variant-independent gathers
-/// shared by every set.
+/// The kernels for one variant: the paper's four generic entries plus the
+/// tip-specialized forms plan-capable backends dispatch to
+/// (docs/KERNELS.md). A plan op runs its down/root kernel and then `scale`
+/// over the same site chunk. down_tt is a variant-independent gather shared
+/// by every set.
 struct KernelSet {
   KernelVariant variant;
   DownFn down;
   RootFn root;
   ScaleFn scale;
   RootReduceFn root_reduce;
-  DownFn down_ti;                  ///< left child tip, right child internal
-  DownTipTipFn down_tt;            ///< both children tips: pair-table gather
-  DownScaleFn down_scale;          ///< fused generic down + rescale
-  DownScaleFn down_ti_scale;       ///< fused tip×inner down + rescale
-  DownTipTipScaleFn down_tt_scale; ///< fused tip×tip gather (prescaled table)
-  RootScaleFn root_scale;          ///< fused root + rescale
+  DownFn down_ti;        ///< left child tip, right child internal
+  DownTipTipFn down_tt;  ///< both children tips: pair-table gather
 };
 
 /// Fetch the kernel set for a variant (all variants are always available;
@@ -182,12 +163,10 @@ struct KernelSet {
 const KernelSet& kernels(KernelVariant v);
 
 namespace detail {
-/// Shared tip×tip gather kernels (kernels_tip.cpp). The gathered row depends
+/// Shared tip×tip gather kernel (kernels_tip.cpp). The gathered row depends
 /// only on the 8-bit mask pair — there is no arithmetic left for a SIMD
-/// variant to vectorize — so every KernelSet points at these.
+/// variant to vectorize — so every KernelSet points at it.
 void down_tip_tip(const TipTipArgs& a, std::size_t begin, std::size_t end);
-void down_tip_tip_scale(const TipTipArgs& a, const ScaleArgs& s,
-                        std::size_t begin, std::size_t end);
 }  // namespace detail
 
 /// Approximate floating-point operation count of cond_like_down per pattern

@@ -2,9 +2,7 @@
 // SIMD/backend variants are validated against.
 //
 // Each kernel body lives in a per-site helper; the public entries loop it
-// over their pattern range. The fused down+scale entries compose the SAME
-// helpers per site, so fusion is bit-identical to the two-pass form by
-// construction.
+// over their pattern range.
 #include <cmath>
 
 #include "core/kernel_contracts.hpp"
@@ -114,36 +112,6 @@ void scale_scalar(const ScaleArgs& a, std::size_t begin, std::size_t end) {
   for (std::size_t c = begin; c < end; ++c) scale_site(c, a);
 }
 
-void down_scale_scalar(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
-                       std::size_t end) {
-  detail::check_down(a, begin, end, /*needs_transpose=*/false);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t c = begin; c < end; ++c) {
-    down_site(c, a);
-    scale_site(c, s);
-  }
-}
-
-void down_ti_scale_scalar(const DownArgs& a, const ScaleArgs& s,
-                          std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t c = begin; c < end; ++c) {
-    down_ti_site(c, a);
-    scale_site(c, s);
-  }
-}
-
-void root_scale_scalar(const RootArgs& a, const ScaleArgs& s,
-                       std::size_t begin, std::size_t end) {
-  detail::check_root(a, begin, end, /*needs_transpose=*/false);
-  detail::check_fused_scale(s, a.down.out, a.down.K);
-  for (std::size_t c = begin; c < end; ++c) {
-    root_site(c, a);
-    scale_site(c, s);
-  }
-}
-
 double root_reduce_scalar(const RootReduceArgs& a, std::size_t begin,
                           std::size_t end) {
   detail::check_root_reduce(a, begin, end);
@@ -174,11 +142,7 @@ const KernelSet kScalarKernels{KernelVariant::kScalar,
                                scale_scalar,
                                root_reduce_scalar,
                                down_ti_scalar,
-                               down_tip_tip,
-                               down_scale_scalar,
-                               down_ti_scale_scalar,
-                               down_tip_tip_scale,
-                               root_scale_scalar};
+                               down_tip_tip};
 }  // namespace detail
 
 }  // namespace plf::core

@@ -9,8 +9,6 @@
 //
 // kSimdCol8 widens the same scheme to 8 lanes (two rate categories per
 // register), a modern-host extension the 2009 hardware did not have.
-#include <cmath>
-
 #include "core/kernel_contracts.hpp"
 #include "core/kernels.hpp"
 #include "simd/vec4f.hpp"
@@ -46,27 +44,6 @@ inline Vec4f child_values(const ChildArgs& ch, std::size_t c, std::size_t k,
                        k * 4);
   }
   return matvec_cols(ch.pt + k * 16, ch.cl + c * K * 4 + k * 4);
-}
-
-/// Per-site SIMD rescale body. Same float ops as the shared scale kernel in
-/// kernels_simd_row.cpp (max is order-invariant; identical 1/max multiply),
-/// duplicated here so the fused entries can inline it.
-inline void scale_site(std::size_t c, const ScaleArgs& a) {
-  float* cl = a.cl + c * a.K * 4;
-  Vec4f m = Vec4f::load(cl);
-  for (std::size_t k = 1; k < a.K; ++k) {
-    m = Vec4f::max(m, Vec4f::load(cl + k * 4));
-  }
-  const float mx = m.hmax();
-  if (mx > 0.0f) {
-    const Vec4f inv(1.0f / mx);
-    for (std::size_t k = 0; k < a.K; ++k) {
-      (Vec4f::load(cl + k * 4) * inv).store(cl + k * 4);
-    }
-    a.ln_scaler[c] = std::log(mx);
-  } else {
-    a.ln_scaler[c] = 0.0f;
-  }
 }
 
 inline void down_site(std::size_t c, const DownArgs& a) {
@@ -119,39 +96,6 @@ void root_col(const RootArgs& a, std::size_t begin, std::size_t end) {
   detail::check_root(a, begin, end, /*needs_transpose=*/true);
   detail::check_root_aligned(a);
   for (std::size_t c = begin; c < end; ++c) root_site(c, a);
-}
-
-void down_scale_col(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
-                    std::size_t end) {
-  detail::check_down(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t c = begin; c < end; ++c) {
-    down_site(c, a);
-    scale_site(c, s);
-  }
-}
-
-void down_ti_scale_col(const DownArgs& a, const ScaleArgs& s,
-                       std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t c = begin; c < end; ++c) {
-    down_ti_site(c, a);
-    scale_site(c, s);
-  }
-}
-
-void root_scale_col(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
-                    std::size_t end) {
-  detail::check_root(a, begin, end, /*needs_transpose=*/true);
-  detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K);
-  for (std::size_t c = begin; c < end; ++c) {
-    root_site(c, a);
-    scale_site(c, s);
-  }
 }
 
 /// Two categories (k, k+1) at once in one 8-wide register.
@@ -270,42 +214,6 @@ void root_col8(const RootArgs& a, std::size_t begin, std::size_t end) {
   for (std::size_t c = begin; c < end; ++c) root_site8(c, a, k_pairs);
 }
 
-void down_scale_col8(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
-                     std::size_t end) {
-  detail::check_down(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t c = begin; c < end; ++c) {
-    down_site8(c, a, k_pairs);
-    scale_site(c, s);
-  }
-}
-
-void down_ti_scale_col8(const DownArgs& a, const ScaleArgs& s,
-                        std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/true);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  const std::size_t k_pairs = a.K / 2 * 2;
-  for (std::size_t c = begin; c < end; ++c) {
-    down_ti_site8(c, a, k_pairs);
-    scale_site(c, s);
-  }
-}
-
-void root_scale_col8(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
-                     std::size_t end) {
-  detail::check_root(a, begin, end, /*needs_transpose=*/true);
-  detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K);
-  const std::size_t k_pairs = a.down.K / 2 * 2;
-  for (std::size_t c = begin; c < end; ++c) {
-    root_site8(c, a, k_pairs);
-    scale_site(c, s);
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -316,11 +224,7 @@ const KernelSet kSimdColKernels{KernelVariant::kSimdCol,
                                 kSharedSimdScale,
                                 kSharedSimdRootReduce,
                                 down_ti_col,
-                                down_tip_tip,
-                                down_scale_col,
-                                down_ti_scale_col,
-                                down_tip_tip_scale,
-                                root_scale_col};
+                                down_tip_tip};
 extern const KernelSet kSimdCol8Kernels;
 const KernelSet kSimdCol8Kernels{KernelVariant::kSimdCol8,
                                  down_col8,
@@ -328,11 +232,7 @@ const KernelSet kSimdCol8Kernels{KernelVariant::kSimdCol8,
                                  kSharedSimdScale,
                                  kSharedSimdRootReduce,
                                  down_ti_col8,
-                                 down_tip_tip,
-                                 down_scale_col8,
-                                 down_ti_scale_col8,
-                                 down_tip_tip_scale,
-                                 root_scale_col8};
+                                 down_tip_tip};
 }  // namespace detail
 
 }  // namespace plf::core

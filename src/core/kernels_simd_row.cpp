@@ -122,39 +122,6 @@ void scale_simd(const ScaleArgs& a, std::size_t begin, std::size_t end) {
   for (std::size_t c = begin; c < end; ++c) scale_site(c, a);
 }
 
-void down_scale_row(const DownArgs& a, const ScaleArgs& s, std::size_t begin,
-                    std::size_t end) {
-  detail::check_down(a, begin, end, /*needs_transpose=*/false);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t c = begin; c < end; ++c) {
-    down_site(c, a);
-    scale_site(c, s);
-  }
-}
-
-void down_ti_scale_row(const DownArgs& a, const ScaleArgs& s,
-                       std::size_t begin, std::size_t end) {
-  detail::check_down_ti(a, begin, end, /*needs_transpose=*/false);
-  detail::check_down_aligned(a);
-  detail::check_fused_scale(s, a.out, a.K);
-  for (std::size_t c = begin; c < end; ++c) {
-    down_ti_site(c, a);
-    scale_site(c, s);
-  }
-}
-
-void root_scale_row(const RootArgs& a, const ScaleArgs& s, std::size_t begin,
-                    std::size_t end) {
-  detail::check_root(a, begin, end, /*needs_transpose=*/false);
-  detail::check_root_aligned(a);
-  detail::check_fused_scale(s, a.down.out, a.down.K);
-  for (std::size_t c = begin; c < end; ++c) {
-    root_site(c, a);
-    scale_site(c, s);
-  }
-}
-
 double root_reduce_simd(const RootReduceArgs& a, std::size_t begin,
                         std::size_t end) {
   detail::check_root_reduce(a, begin, end);
@@ -185,11 +152,7 @@ const KernelSet kSimdRowKernels{KernelVariant::kSimdRow,
                                 scale_simd,
                                 root_reduce_simd,
                                 down_ti_row,
-                                down_tip_tip,
-                                down_scale_row,
-                                down_ti_scale_row,
-                                down_tip_tip_scale,
-                                root_scale_row};
+                                down_tip_tip};
 // Shared by the column-wise variants (the scale/reduce kernels do not differ
 // between row- and column-wise matrix access).
 extern const ScaleFn kSharedSimdScale;

@@ -4,7 +4,7 @@
 // (down/root, then scale, each with its own spawn/sync barrier) — the
 // overhead structure the paper blames for the Fig. 9 scaling loss. A
 // `PlfPlan` replaces that with ONE dependency-ordered batch per evaluation:
-// every dirty node becomes a `PlfOp` carrying the fused down/root + scale
+// every dirty node becomes a `PlfOp` carrying its down/root + scale
 // argument blocks, and ops are grouped into *dependency levels* such that
 //
 //   - all ops within a level are mutually independent (no op reads another
@@ -15,8 +15,9 @@
 // Each backend then executes the batch its own way: the base
 // ExecutionBackend::run_plan loops ops through the per-call entries (per-call
 // dispatch itself; core::PerCallBackend runs any backend that way), the
-// threaded backend runs the whole plan in one parallel region with down+scale
-// fused per site chunk (~3 barriers/node -> 1 per plan), and the GPU backend
+// threaded backend runs the whole plan in one parallel region, each worker
+// running every op's down/root then scale kernel back to back on its own
+// site chunk (~3 barriers/node -> 1 per plan), and the GPU backend
 // keeps each op's CLV block device-resident between the down and scale
 // kernels, coalescing the PCIe round trip. See docs/EXECUTION_PLAN.md.
 #pragma once
@@ -40,7 +41,7 @@ enum class PlfOpKind : std::uint8_t {
   kTipTip,    ///< cherry: both children tips, pair-table gather (PlfOp::tt)
 };
 
-/// One node recomputation: the fused down/root + scale invocation. The
+/// One node recomputation: a down/root invocation followed by scale. The
 /// argument blocks are fully resolved at plan-build time (child CLV pointers
 /// already refer to the buffer the child's own op will write), so executing
 /// an op never consults engine state.
@@ -56,7 +57,7 @@ struct PlfOp {
   /// against args.down) only when kind == kTipTip.
   PlfOpKind kind = PlfOpKind::kGeneric;
   TipTipArgs tt;
-  /// Fused rescale of the op's own output: scale.cl aliases args.down.out
+  /// Rescale of the op's own output: scale.cl aliases args.down.out
   /// (contract-checked), so a backend may run it per site chunk immediately
   /// after the down/root kernel — rescaling is per-site.
   ScaleArgs scale;

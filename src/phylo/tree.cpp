@@ -642,18 +642,22 @@ void Tree::save(util::BinaryWriter& w) const {
 Tree Tree::load(util::BinaryReader& r) {
   r.section("TREE");
   Tree tree;
-  tree.nodes_.resize(r.u64());
-  for (TreeNode& n : tree.nodes_) {
-    n.parent = static_cast<int>(r.i64());
-    n.left = static_cast<int>(r.i64());
-    n.right = static_cast<int>(r.i64());
-    n.length = r.f64();
-    n.taxon = static_cast<int>(r.i64());
+  // Counts are untrusted: each container grows one element per record read,
+  // so a corrupt count fails as a truncated stream, not an allocation.
+  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+    TreeNode& node = tree.nodes_.emplace_back();
+    node.parent = static_cast<int>(r.i64());
+    node.left = static_cast<int>(r.i64());
+    node.right = static_cast<int>(r.i64());
+    node.length = r.f64();
+    node.taxon = static_cast<int>(r.i64());
   }
-  tree.leaf_of_.resize(r.u64());
-  for (int& id : tree.leaf_of_) id = static_cast<int>(r.i64());
-  tree.taxon_names_.resize(r.u64());
-  for (std::string& name : tree.taxon_names_) name = r.str();
+  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+    tree.leaf_of_.push_back(static_cast<int>(r.i64()));
+  }
+  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+    tree.taxon_names_.push_back(r.str());
+  }
   tree.root_ = static_cast<int>(r.i64());
   tree.outgroup_ = static_cast<int>(r.i64());
   tree.validate();

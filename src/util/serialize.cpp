@@ -1,5 +1,6 @@
 #include "util/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -21,6 +22,13 @@ std::string tag_name(std::uint32_t code) {
   std::memcpy(buf, &code, 4);
   return std::string(buf, 4);
 }
+
+/// Largest single allocation step while reading a length-prefixed payload.
+/// The length field is untrusted, so the container grows one bounded chunk
+/// at a time as bytes actually arrive: a forged 2^60 length on a short
+/// stream ends in "truncated stream" after at most one chunk, never in a
+/// huge up-front allocation.
+constexpr std::size_t kReadChunkBytes = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -138,30 +146,30 @@ float BinaryReader::f32() {
   std::memcpy(&v, &bits, sizeof v);
   return v;
 }
-std::string BinaryReader::str() {
-  const std::uint64_t n = u64();
-  std::string s(n, '\0');
-  if (n != 0) raw(s.data(), n);
-  return s;
+template <class Container>
+Container BinaryReader::chunked(std::uint64_t n) {
+  using T = typename Container::value_type;
+  constexpr std::uint64_t kChunk = kReadChunkBytes / sizeof(T);
+  Container c;
+  for (std::uint64_t done = 0; done < n;) {
+    const std::size_t k = static_cast<std::size_t>(std::min(kChunk, n - done));
+    c.resize(c.size() + k);
+    raw(c.data() + done, k * sizeof(T));
+    done += k;
+  }
+  return c;
 }
 
+std::string BinaryReader::str() { return chunked<std::string>(u64()); }
+
 std::vector<float> BinaryReader::f32_array() {
-  const std::uint64_t n = u64();
-  std::vector<float> v(n);
-  if (n != 0) raw(v.data(), n * sizeof(float));
-  return v;
+  return chunked<std::vector<float>>(u64());
 }
 std::vector<double> BinaryReader::f64_array() {
-  const std::uint64_t n = u64();
-  std::vector<double> v(n);
-  if (n != 0) raw(v.data(), n * sizeof(double));
-  return v;
+  return chunked<std::vector<double>>(u64());
 }
 std::vector<std::uint64_t> BinaryReader::u64_array() {
-  const std::uint64_t n = u64();
-  std::vector<std::uint64_t> v(n);
-  if (n != 0) raw(v.data(), n * sizeof(std::uint64_t));
-  return v;
+  return chunked<std::vector<std::uint64_t>>(u64());
 }
 
 }  // namespace plf::util

@@ -64,7 +64,10 @@ class BinaryWriter {
 
 /// Mirror of BinaryWriter. Construction validates magic + version and throws
 /// plf::Error on mismatch; every accessor throws on truncated input, and
-/// `section` throws if the next tag is not the expected one.
+/// `section` throws if the next tag is not the expected one. Length prefixes
+/// are untrusted: strings and arrays grow in bounded chunks as their bytes
+/// are read, so a corrupt length fails as a truncated stream instead of
+/// allocating what it claims.
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream& is);
@@ -88,6 +91,9 @@ class BinaryReader {
 
  private:
   void raw(void* data, std::size_t n);
+  /// Reads n elements of a string/vector payload, one bounded chunk at a time.
+  template <class Container>
+  Container chunked(std::uint64_t n);
   std::istream& is_;
   std::uint32_t version_ = 0;
 };

@@ -9,8 +9,11 @@
 // Anything weaker would make a resumed run a different run.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,6 +24,7 @@
 #include "mcmc/chain.hpp"
 #include "mcmc/coupled.hpp"
 #include "phylo/patterns.hpp"
+#include "phylo/tree.hpp"
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
 #include "seqgen/random_tree.hpp"
@@ -300,6 +304,98 @@ TEST(CheckpointTest, CoupledRestoreRejectsWrongChainCount) {
   CoupledChains b(make_engines(inst, backend, 2), opts);
   std::istringstream is(os.str());
   EXPECT_THROW(b.restore_checkpoint(is), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Untrusted length prefixes. Each stream is a valid header, an optional
+// "TREE" tag, the given u64 fields (the last one a forged length) and a few
+// payload bytes. The reader must fail with "checkpoint: truncated stream"
+// (plf::Error) once the bytes run out. The forged lengths, 2^40 and 2^60
+// elements, are far beyond what any host can allocate, so a reader that
+// sizes its container from the prefix throws std::bad_alloc or
+// std::length_error instead.
+
+constexpr std::uint64_t kForgedLengths[] = {std::uint64_t{1} << 40,
+                                            std::uint64_t{1} << 60};
+
+std::string forged_stream(std::initializer_list<std::uint64_t> fields,
+                          bool tree_section = false) {
+  std::ostringstream os;
+  util::BinaryWriter w(os);
+  if (tree_section) w.section("TREE");
+  for (std::uint64_t f : fields) w.u64(f);
+  for (int i = 0; i < 3; ++i) w.u64(0x0123456789abcdefull);
+  return os.str();
+}
+
+void expect_truncated(const std::string& bytes,
+                      const std::function<void(util::BinaryReader&)>& read) {
+  std::istringstream is(bytes);
+  util::BinaryReader r(is);
+  try {
+    read(r);
+    ADD_FAILURE() << "forged length was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("checkpoint: truncated stream"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckpointReaderTest, ForgedArrayLengthFailsAsTruncatedStream) {
+  for (std::uint64_t n : kForgedLengths) {
+    SCOPED_TRACE(n);
+    const std::string bytes = forged_stream({n});
+    expect_truncated(bytes, [](util::BinaryReader& r) { (void)r.str(); });
+    expect_truncated(bytes,
+                     [](util::BinaryReader& r) { (void)r.f32_array(); });
+    expect_truncated(bytes,
+                     [](util::BinaryReader& r) { (void)r.f64_array(); });
+    expect_truncated(bytes,
+                     [](util::BinaryReader& r) { (void)r.u64_array(); });
+  }
+}
+
+TEST(CheckpointReaderTest, ForgedTreeCountFailsAsTruncatedStream) {
+  const auto load = [](util::BinaryReader& r) { (void)phylo::Tree::load(r); };
+  for (std::uint64_t n : kForgedLengths) {
+    SCOPED_TRACE(n);
+    expect_truncated(forged_stream({n}, true), load);        // nodes
+    expect_truncated(forged_stream({0, n}, true), load);     // leaf ids
+    expect_truncated(forged_stream({0, 0, n}, true), load);  // taxon names
+  }
+}
+
+TEST(CheckpointReaderTest, ArraysLargerThanOneChunkRoundTrip) {
+  // Every payload exceeds the reader's 1 MiB growth chunk, so each read
+  // spans several chunks.
+  std::vector<float> f32(300'000);
+  std::vector<double> f64(200'000);
+  std::vector<std::uint64_t> u64(200'000);
+  std::string text(1'500'000, '\0');
+  for (std::size_t i = 0; i < f32.size(); ++i) f32[i] = 0.25f * i - 7.0f;
+  for (std::size_t i = 0; i < f64.size(); ++i) f64[i] = 1.0 / (i + 1.0);
+  for (std::size_t i = 0; i < u64.size(); ++i) {
+    u64[i] = i * 0x9e3779b97f4a7c15ull;
+  }
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    text[i] = static_cast<char>('a' + i % 26);
+  }
+
+  std::ostringstream os;
+  {
+    util::BinaryWriter w(os);
+    w.f32_array(f32.data(), f32.size());
+    w.f64_array(f64.data(), f64.size());
+    w.u64_array(u64.data(), u64.size());
+    w.str(text);
+  }
+  std::istringstream is(os.str());
+  util::BinaryReader r(is);
+  EXPECT_EQ(r.f32_array(), f32);
+  EXPECT_EQ(r.f64_array(), f64);
+  EXPECT_EQ(r.u64_array(), u64);
+  EXPECT_EQ(r.str(), text);
 }
 
 }  // namespace

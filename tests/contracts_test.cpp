@@ -236,29 +236,24 @@ TEST(KernelContractDeathTest, AmbiguousChildTripsEntryContract) {
 }
 
 /// Minimal valid tip×tip (cherry) argument pack: all 4-bit state codes in
-/// range, pair tables sized for the full 16×16 mask space.
+/// range, pair table sized for the full 16×16 mask space.
 struct TipTipFixture {
   static constexpr std::size_t kPatterns = 8;
   static constexpr std::size_t kCats = 4;
   std::vector<phylo::StateMask> ml, mr;
-  aligned_vector<float> pair, pair_scaled, ln, out, scaler;
+  aligned_vector<float> pair, out;
 
   TipTipFixture()
       : ml(kPatterns, phylo::StateMask{1}),
         mr(kPatterns, phylo::StateMask{2}),
         pair(phylo::kNumMasks * phylo::kNumMasks * kCats * 4, 0.5f),
-        pair_scaled(phylo::kNumMasks * phylo::kNumMasks * kCats * 4, 1.0f),
-        ln(phylo::kNumMasks * phylo::kNumMasks, 0.0f),
-        out(kPatterns * kCats * 4, 0.0f),
-        scaler(kPatterns, 0.0f) {}
+        out(kPatterns * kCats * 4, 0.0f) {}
 
   core::TipTipArgs args() {
     core::TipTipArgs a;
     a.left_mask = ml.data();
     a.right_mask = mr.data();
     a.pair = pair.data();
-    a.pair_scaled = pair_scaled.data();
-    a.pair_ln = ln.data();
     a.out = out.data();
     a.K = kCats;
     a.table_categories = kCats;
@@ -294,37 +289,6 @@ TEST(TipKernelContractDeathTest, OutOfRangeTipStateCodeTripsCheckedContract) {
   core::TipTipArgs a = f.args();
   EXPECT_DEATH(core::detail::check_down_tt(a, 0, TipTipFixture::kPatterns),
                "tip-state code out of range");
-}
-
-TEST(FusedScaleContractDeathTest, NonAliasingScaleBlockIsRejected) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  DownFixture f;
-  DownArgs d = f.args();
-  aligned_vector<float> other(DownFixture::kPatterns * DownFixture::kCats * 4);
-  aligned_vector<float> scaler(DownFixture::kPatterns, 0.0f);
-  core::ScaleArgs s;
-  s.cl = other.data();  // some other node's CLV, not this op's down output
-  s.ln_scaler = scaler.data();
-  s.K = DownFixture::kCats;
-  EXPECT_DEATH(core::detail::check_fused_scale(s, d.out, d.K),
-               "must alias the down output");
-}
-
-TEST(FusedScaleContractDeathTest, FusedEntryRejectsForeignScaleBlock) {
-  if (!contracts_active()) {
-    GTEST_SKIP() << "library built without checked contracts";
-  }
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  DownFixture f;
-  DownArgs d = f.args();
-  aligned_vector<float> other(DownFixture::kPatterns * DownFixture::kCats * 4);
-  aligned_vector<float> scaler(DownFixture::kPatterns, 0.0f);
-  core::ScaleArgs s;
-  s.cl = other.data();
-  s.ln_scaler = scaler.data();
-  s.K = DownFixture::kCats;
-  EXPECT_DEATH(core::kernels(KernelVariant::kScalar).down_scale(d, s, 0, 4),
-               "contract violation");
 }
 
 /// Minimal storage for structurally valid PlfOps (check_plan inspects

@@ -145,15 +145,15 @@ TEST(ParStressTest, BarrierInsideParallelForRegions) {
 }
 
 TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
-  // ThreadedBackend::run_plan opens one fused parallel region per plan and
+  // ThreadedBackend::run_plan opens one parallel region per plan and
   // records plan.* counters/timers into the GLOBAL registry from the calling
-  // thread, while 8 oversubscribed workers execute the fused down+scale
-  // chunks. A concurrent flusher thread snapshots that registry
-  // the whole time, and the engine publishes its gauge stats between
-  // evaluations — the exact writer mix a live profiling run produces. Under
-  // TSan this checks the region-boundary and registry-shard edges of the
-  // batched path; under plain presets it doubles as a plan-vs-percall
-  // bitwise equivalence check on a shared hot pool.
+  // thread, while 8 oversubscribed workers run each op's down/root and scale
+  // kernels back to back on their chunks. A concurrent flusher thread
+  // snapshots that registry the whole time, and the engine publishes its
+  // gauge stats between evaluations — the exact writer mix a live profiling
+  // run produces. Under TSan this checks the region-boundary and
+  // registry-shard edges of the batched path; under plain presets it doubles
+  // as a plan-vs-percall bitwise equivalence check on a shared hot pool.
   ThreadPool pool(kThreads);
   core::ThreadedBackend threaded(pool);
 
@@ -211,7 +211,7 @@ TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
 TEST(ParStressTest, BudgetedArenaHammeredWhileMetricsFlusherReads) {
   // The budgeted CLV arena adds one more cross-thread shape to the plan
   // path: the engine thread mutates arena structural state (acquire/evict/
-  // pin) between and during fused regions, its stats mutex publishes the
+  // pin) between and during plan regions, its stats mutex publishes the
   // arena.* counters, and a concurrent flusher reads those gauges from the
   // global registry the whole time — the exact mix a live profiling run of
   // a memory-constrained chain produces. Under TSan this checks the
@@ -285,14 +285,14 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
   // The tip-specialized plan path adds two new cross-thread shapes: every
   // worker gathers from the SAME read-only pair tables (NodeState::pair,
   // rebuilt by the caller thread between evaluations when a tip branch
-  // moves) while writing disjoint CLV/scaler chunks through the fused
-  // down+scale entries. Hammer exactly that — tip-branch moves force table
-  // rebuilds between regions, NNIs re-pair cherries — with a concurrent
-  // flusher snapshotting the global registry and the engine publishing its
-  // tip gauges each round. Under TSan this checks the rebuild/consume edge
-  // across the region boundary; under plain presets it doubles as a
-  // plan-vs-percall bitwise equivalence check of the tip kernels on a hot
-  // oversubscribed pool.
+  // moves) while writing disjoint CLV/scaler chunks through the tip kernels
+  // and the scale kernel that follows each of them. Hammer exactly that —
+  // tip-branch moves force table rebuilds between regions, NNIs re-pair
+  // cherries — with a concurrent flusher snapshotting the global registry
+  // and the engine publishing its tip gauges each round. Under TSan this
+  // checks the rebuild/consume edge across the region boundary; under plain
+  // presets it doubles as a plan-vs-percall bitwise equivalence check of the
+  // tip kernels on a hot oversubscribed pool.
   ThreadPool pool(kThreads);
   core::ThreadedBackend threaded(pool);
 

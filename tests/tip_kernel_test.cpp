@@ -1,12 +1,14 @@
-// Conformance suite for the tip-specialized and fused PLF kernels
-// (docs/KERNELS.md): the pair-table gather (down_tt), the tip×inner entry
-// (down_ti), and every fused down/root+scale twin must reproduce the generic
-// unfused path to the last ULP — across all kernel variants, all 15×15 valid
-// ambiguity-mask pairs, K ∈ {1, 4}, at branch-length extremes, and over the
-// whole site range, an unaligned window of it, or uneven chunks of it.
-// Comparisons are memcmp (0 ULP), because the backends substitute these
-// entries freely and the engine's A/B guarantees (per-call vs plan dispatch)
-// demand bit identity, not tolerance.
+// Conformance suite for the tip-specialized PLF kernels (docs/KERNELS.md):
+// the pair-table gather (down_tt) and the tip×inner entry (down_ti) must
+// reproduce the generic path to the last ULP, and so must every plan op as
+// the executors run it — the op's down/root kernel then `scale`, back to back
+// on each site chunk — against generic down/root then `scale` over the whole
+// span. Cases cover all kernel variants, all 15×15 valid ambiguity-mask
+// pairs, K ∈ {1, 4}, branch-length extremes, and the whole site range, an
+// unaligned window of it, or uneven chunks of it. Comparisons are memcmp
+// (0 ULP), because the backends substitute these entries freely and the
+// engine's A/B guarantees (per-call vs plan dispatch) demand bit identity,
+// not tolerance.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -101,8 +103,6 @@ struct TipFixture {
     a.left_mask = mask_l.data();
     a.right_mask = mask_r.data();
     a.pair = pair.raw();
-    a.pair_scaled = pair.scaled();
-    a.pair_ln = pair.ln_factors();
     a.out = out;
     a.K = K;
     a.table_categories = pair.n_categories();
@@ -133,32 +133,6 @@ TEST(TipPairTableTest, RawRowsAreExactTipPartialProducts) {
             << "pair (" << lm << ", " << rm << ") entry " << v;
       }
     }
-  }
-}
-
-TEST(TipPairTableTest, ScaledRowsMatchScaleKernelAppliedToRaw) {
-  // The prescale must be the scale-kernel body verbatim: running the real
-  // scale kernel over a copy of each raw row must reproduce scaled() and
-  // ln_factors() bit for bit. This is what makes the fused tip×tip gather
-  // exact.
-  TipFixture fx(4, 1.0);
-  const std::size_t row = fx.K * 4;
-  aligned_vector<float> buf(row);
-  aligned_vector<float> ln(1);
-  for (std::size_t pair = 0; pair < phylo::kNumMasks * phylo::kNumMasks;
-       ++pair) {
-    std::memcpy(buf.data(), fx.pair.raw() + pair * row, row * sizeof(float));
-    ln[0] = -1.0f;
-    ScaleArgs s;
-    s.cl = buf.data();
-    s.ln_scaler = ln.data();
-    s.K = fx.K;
-    kernels(KernelVariant::kScalar).scale(s, 0, 1);
-    EXPECT_EQ(std::memcmp(buf.data(), fx.pair.scaled() + pair * row,
-                          row * sizeof(float)),
-              0)
-        << "pair " << pair;
-    EXPECT_EQ(ln[0], fx.pair.ln_factors()[pair]) << "pair " << pair;
   }
 }
 
@@ -214,6 +188,34 @@ class TipKernelConformanceTest : public ::testing::TestWithParam<TipParam> {
     f(c1, c2);
     f(c2, e);
   }
+
+  // One plan op as the executors run it — `op` then `scale`, back to back on
+  // each chunk of run() — must equal `generic` then `scale` over the whole
+  // span, bit for bit in the CLV and in the ln row. Both callbacks write
+  // sites [lo, hi) of the CLV they are handed; all buffers start zeroed.
+  template <class Generic, class Op>
+  static void expect_op_then_scale_matches(const KernelSet& ks, std::size_t m,
+                                           std::size_t K, Generic&& generic,
+                                           Op&& op) {
+    const auto [b, e] = span(m);
+    aligned_vector<float> out_gen = zeros(m * K * 4);
+    aligned_vector<float> out_op = zeros(m * K * 4);
+    aligned_vector<float> ln_gen = zeros(m);
+    aligned_vector<float> ln_op = zeros(m);
+
+    const ScaleArgs s_gen{out_gen.data(), ln_gen.data(), K};
+    generic(out_gen.data(), b, e);
+    ks.scale(s_gen, b, e);
+
+    const ScaleArgs s_op{out_op.data(), ln_op.data(), K};
+    run(m, [&](std::size_t lo, std::size_t hi) {
+      op(out_op.data(), lo, hi);
+      ks.scale(s_op, lo, hi);
+    });
+
+    expect_bitwise_equal(out_op, out_gen);
+    expect_bitwise_equal(ln_op, ln_gen);
+  }
 };
 
 TEST_P(TipKernelConformanceTest, TipTipGatherMatchesGenericDown) {
@@ -256,11 +258,10 @@ TEST_P(TipKernelConformanceTest, TipInnerMatchesGenericDown) {
   expect_bitwise_equal(out_ti, out_gen);
 }
 
-TEST_P(TipKernelConformanceTest, FusedDownScaleMatchesUnfusedPair) {
+TEST_P(TipKernelConformanceTest, DownThenScaleMatchesGenericPair) {
   const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
-  const auto [b, e] = span(fx.m);
   // Generic inner×inner op (second random CLV as the left child).
   aligned_vector<float> cl_l = test::random_cl(fx.m, K, fx.rng);
 
@@ -271,103 +272,64 @@ TEST_P(TipKernelConformanceTest, FusedDownScaleMatchesUnfusedPair) {
   args.right = fx.inner_right();
   args.K = K;
 
-  aligned_vector<float> out_a = zeros(fx.m * K * 4);
-  aligned_vector<float> out_b = zeros(fx.m * K * 4);
-  aligned_vector<float> ln_a = zeros(fx.m);
-  aligned_vector<float> ln_b = zeros(fx.m);
-
-  args.out = out_a.data();
-  ScaleArgs sa;
-  sa.cl = out_a.data();
-  sa.ln_scaler = ln_a.data();
-  sa.K = K;
-  ks.down(args, b, e);
-  ks.scale(sa, b, e);
-
-  args.out = out_b.data();
-  ScaleArgs sb = sa;
-  sb.cl = out_b.data();
-  sb.ln_scaler = ln_b.data();
-  run(fx.m, [&](std::size_t lo, std::size_t hi) {
-    ks.down_scale(args, sb, lo, hi);
-  });
-
-  expect_bitwise_equal(out_b, out_a);
-  expect_bitwise_equal(ln_b, ln_a);
+  const auto down = [&](float* out, std::size_t lo, std::size_t hi) {
+    DownArgs a = args;
+    a.out = out;
+    ks.down(a, lo, hi);
+  };
+  expect_op_then_scale_matches(ks, fx.m, K, down, down);
 }
 
-TEST_P(TipKernelConformanceTest, FusedTipInnerScaleMatchesUnfusedPair) {
+TEST_P(TipKernelConformanceTest, TipInnerThenScaleMatchesGenericPair) {
   const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
-  const auto [b, e] = span(fx.m);
 
   DownArgs args;
   args.left = fx.tip_left();
   args.right = fx.inner_right();
   args.K = K;
 
-  aligned_vector<float> out_a = zeros(fx.m * K * 4);
-  aligned_vector<float> out_b = zeros(fx.m * K * 4);
-  aligned_vector<float> ln_a = zeros(fx.m);
-  aligned_vector<float> ln_b = zeros(fx.m);
-
-  args.out = out_a.data();
-  ScaleArgs sa;
-  sa.cl = out_a.data();
-  sa.ln_scaler = ln_a.data();
-  sa.K = K;
-  ks.down_ti(args, b, e);
-  ks.scale(sa, b, e);
-
-  args.out = out_b.data();
-  ScaleArgs sb = sa;
-  sb.cl = out_b.data();
-  sb.ln_scaler = ln_b.data();
-  run(fx.m, [&](std::size_t lo, std::size_t hi) {
-    ks.down_ti_scale(args, sb, lo, hi);
-  });
-
-  expect_bitwise_equal(out_b, out_a);
-  expect_bitwise_equal(ln_b, ln_a);
+  expect_op_then_scale_matches(
+      ks, fx.m, K,
+      [&](float* out, std::size_t lo, std::size_t hi) {
+        DownArgs a = args;
+        a.out = out;
+        ks.down(a, lo, hi);
+      },
+      [&](float* out, std::size_t lo, std::size_t hi) {
+        DownArgs a = args;
+        a.out = out;
+        ks.down_ti(a, lo, hi);
+      });
 }
 
-TEST_P(TipKernelConformanceTest, FusedTipTipScaleMatchesUnfusedPair) {
+TEST_P(TipKernelConformanceTest, TipTipThenScaleMatchesGenericPair) {
   const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
-  const auto [b, e] = span(fx.m);
 
-  aligned_vector<float> out_a = zeros(fx.m * K * 4);
-  aligned_vector<float> out_b = zeros(fx.m * K * 4);
-  aligned_vector<float> ln_a = zeros(fx.m);
-  aligned_vector<float> ln_b = zeros(fx.m);
+  DownArgs generic;
+  generic.left = fx.tip_left();
+  generic.right = fx.tip_right();
+  generic.K = K;
 
-  TipTipArgs ta = fx.tt_args(out_a.data());
-  ScaleArgs sa;
-  sa.cl = out_a.data();
-  sa.ln_scaler = ln_a.data();
-  sa.K = K;
-  ks.down_tt(ta, b, e);
-  ks.scale(sa, b, e);
-
-  TipTipArgs tb = fx.tt_args(out_b.data());
-  ScaleArgs sb = sa;
-  sb.cl = out_b.data();
-  sb.ln_scaler = ln_b.data();
-  run(fx.m, [&](std::size_t lo, std::size_t hi) {
-    ks.down_tt_scale(tb, sb, lo, hi);
-  });
-
-  expect_bitwise_equal(out_b, out_a);
-  expect_bitwise_equal(ln_b, ln_a);
+  expect_op_then_scale_matches(
+      ks, fx.m, K,
+      [&](float* out, std::size_t lo, std::size_t hi) {
+        DownArgs a = generic;
+        a.out = out;
+        ks.down(a, lo, hi);
+      },
+      [&](float* out, std::size_t lo, std::size_t hi) {
+        ks.down_tt(fx.tt_args(out), lo, hi);
+      });
 }
 
-TEST_P(TipKernelConformanceTest, FusedRootScaleMatchesUnfusedPair) {
+TEST_P(TipKernelConformanceTest, RootThenScaleMatchesGenericPair) {
   const auto [variant, K, scale, range] = GetParam();
   TipFixture fx(K, scale);
   const KernelSet& ks = kernels(variant);
-  const auto [b, e] = span(fx.m);
 
   RootArgs args;
   args.down.left = fx.tip_left();
@@ -376,29 +338,12 @@ TEST_P(TipKernelConformanceTest, FusedRootScaleMatchesUnfusedPair) {
   args.out_mask = fx.mask_o.data();
   args.out_tp = fx.tp_o.data();
 
-  aligned_vector<float> out_a = zeros(fx.m * K * 4);
-  aligned_vector<float> out_b = zeros(fx.m * K * 4);
-  aligned_vector<float> ln_a = zeros(fx.m);
-  aligned_vector<float> ln_b = zeros(fx.m);
-
-  args.down.out = out_a.data();
-  ScaleArgs sa;
-  sa.cl = out_a.data();
-  sa.ln_scaler = ln_a.data();
-  sa.K = K;
-  ks.root(args, b, e);
-  ks.scale(sa, b, e);
-
-  args.down.out = out_b.data();
-  ScaleArgs sb = sa;
-  sb.cl = out_b.data();
-  sb.ln_scaler = ln_b.data();
-  run(fx.m, [&](std::size_t lo, std::size_t hi) {
-    ks.root_scale(args, sb, lo, hi);
-  });
-
-  expect_bitwise_equal(out_b, out_a);
-  expect_bitwise_equal(ln_b, ln_a);
+  const auto root = [&](float* out, std::size_t lo, std::size_t hi) {
+    RootArgs a = args;
+    a.down.out = out;
+    ks.root(a, lo, hi);
+  };
+  expect_op_then_scale_matches(ks, fx.m, K, root, root);
 }
 
 TEST_P(TipKernelConformanceTest, TipTipRangeSplitEqualsWholeRange) {
