@@ -1,14 +1,51 @@
 #include "core/backend.hpp"
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "core/kernel_contracts.hpp"
 #include "obs/names.hpp"
 #include "obs/profile.hpp"
+#include "util/clock.hpp"
 
 namespace plf::core {
 
 namespace {
+
+/// The grain rule's one constant: C/t, what opening a pool region costs (C)
+/// in serial site-ops (t each; a site-op is one op's kernels over one site).
+/// An evaluation of W site-ops takes about W*t inline and W*t/T + C on a
+/// T-thread region, so the region pays only when W*(T-1)/T > C/t. Measured
+/// on a 4-vCPU Xeon (docs/EXECUTION_PLAN.md, "Grain rule"): t = 18 ns and
+/// C = 10-18 us for 2-4 threads, so C/t is 580-1000 site-ops.
+constexpr std::size_t kRegionCostSiteOps = 768;
+
+/// EvalTail stages 1-2 over [begin, end): zero the total for a resum, then
+/// retire the old scaler rows.
+inline void retire_scalers(const EvalTail& tail, std::size_t begin,
+                           std::size_t end) {
+  double* total = tail.scaler_total;
+  if (tail.resum) {
+    for (std::size_t c = begin; c < end; ++c) total[c] = 0.0;
+  }
+  for (const float* row : tail.retire) {
+    for (std::size_t c = begin; c < end; ++c) {
+      total[c] -= static_cast<double>(row[c]);
+    }
+  }
+}
+
+/// EvalTail stage 4 over [begin, end): fold the new scaler rows in.
+inline void fold_scalers(const EvalTail& tail, std::size_t begin,
+                         std::size_t end) {
+  double* total = tail.scaler_total;
+  for (const float* row : tail.fold) {
+    for (std::size_t c = begin; c < end; ++c) {
+      total[c] += static_cast<double>(row[c]);
+    }
+  }
+}
 
 /// One plan op over [begin, end): the paper's kernels back to back on the
 /// same site chunk — the op's down/root kernel, picked by its specialization
@@ -55,6 +92,24 @@ void ExecutionBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
     PLF_PROF_SCOPE(obs::kTimerCondLikeScaler);
     run_scale(ks, op.scale, plan.m());
   }
+}
+
+double ExecutionBackend::run_evaluation(const KernelSet& ks,
+                                        const PlfPlan& plan,
+                                        const EvalTail& tail) {
+  detail::check_eval_tail(plan, tail);
+  const std::size_t m = plan.m();
+  if (tail.resum || !tail.retire.empty()) {
+    PLF_PROF_SCOPE(obs::kTimerScalerSum);
+    retire_scalers(tail, 0, m);
+  }
+  if (!plan.empty()) run_plan(ks, plan);
+  {
+    PLF_PROF_SCOPE(obs::kTimerScalerSum);
+    fold_scalers(tail, 0, m);
+  }
+  PLF_PROF_SCOPE(obs::kTimerRootReduce);
+  return run_root_reduce(ks, tail.reduce, m);
 }
 
 void SerialBackend::run_down(const KernelSet& ks, const DownArgs& a,
@@ -152,6 +207,117 @@ void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   pool_.parallel_for(0, plan.m(), [&](par::Range r, std::size_t) {
     for (const PlfOp& op : ops) run_op(ks, op, r.begin, r.end);
   });
+}
+
+bool ThreadedBackend::runs_inline(std::size_t site_ops) const {
+  const std::size_t threads = pool_.size();
+  return site_ops * (threads - 1) <= kRegionCostSiteOps * threads;
+}
+
+namespace {
+
+/// Where a fused evaluation's time goes, per block: the scaler stages
+/// (retire + fold), the plan's ops, the block's share of the reduction.
+enum Stage : std::size_t { kStageScalers, kStageOps, kStageReduce, kStages };
+using StageNs = std::array<std::uint64_t, kStages>;
+
+/// Stage clock; reads nothing when profiling is compiled out.
+inline std::uint64_t stage_clock() {
+#if defined(PLF_PROFILING_ENABLED)
+  return now_ns();
+#else
+  return 0;
+#endif
+}
+
+/// Record one fused evaluation's `wall_s` under the rows it replaces
+/// (engine.ScalerSum, plan.level, plf.RootReduce): each row gets the share
+/// of the wall time that its stage took of the per-block stage time summed
+/// over all blocks, so the rows of one evaluation add up to its wall time
+/// however many workers ran it (docs/OBSERVABILITY.md).
+void record_stages([[maybe_unused]] double wall_s,
+                   [[maybe_unused]] const std::vector<StageNs>& blocks,
+                   [[maybe_unused]] bool has_ops) {
+#if defined(PLF_PROFILING_ENABLED)
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  static const std::array<obs::MetricId, kStages> ids = {
+      reg.timer(obs::kTimerScalerSum), reg.timer(obs::kTimerPlanLevel),
+      reg.timer(obs::kTimerRootReduce)};
+  StageNs sum{};
+  std::uint64_t total = 0;
+  for (const StageNs& b : blocks) {
+    for (std::size_t k = 0; k < kStages; ++k) {
+      sum[k] += b[k];
+      total += b[k];
+    }
+  }
+  for (std::size_t k = 0; k < kStages; ++k) {
+    if (k == kStageOps && !has_ops) continue;
+    const double share = total > 0 ? static_cast<double>(sum[k]) /
+                                         static_cast<double>(total)
+                                   : 0.0;
+    reg.record_seconds(ids[k], wall_s * share);
+  }
+#endif
+}
+
+}  // namespace
+
+double ThreadedBackend::run_evaluation(const KernelSet& ks,
+                                       const PlfPlan& plan,
+                                       const EvalTail& tail) {
+  detail::check_plan(plan);
+  detail::check_eval_tail(plan, tail);
+  // One evaluation, one static-schedule pass over [0, m): every block runs
+  // retire, the whole op chain, fold and its share of the root reduction on
+  // its own site chunk. Everything but the reduction is per-site, and a
+  // block's partial depends only on its range, so as long as the blocks are
+  // the static schedule's and the partials are summed in block order, the
+  // result is the default run_evaluation's to the bit (its run_root_reduce
+  // reduces over the same blocks) — whether a pool region runs the blocks
+  // or the calling thread walks them itself.
+  const std::vector<PlfOp>& ops = plan.ops();
+  const std::size_t m = plan.m();
+  const std::size_t blocks = pool_.size();
+  std::vector<double> partial(blocks, 0.0);
+  std::vector<StageNs> stage_ns(blocks);
+  const auto run_block = [&](par::Range r, std::size_t b) {
+    const std::uint64_t t0 = stage_clock();
+    retire_scalers(tail, r.begin, r.end);
+    const std::uint64_t t1 = stage_clock();
+    for (const PlfOp& op : ops) run_op(ks, op, r.begin, r.end);
+    const std::uint64_t t2 = stage_clock();
+    fold_scalers(tail, r.begin, r.end);
+    const std::uint64_t t3 = stage_clock();
+    partial[b] = ks.root_reduce(tail.reduce, r.begin, r.end);
+    const std::uint64_t t4 = stage_clock();
+    stage_ns[b] = {(t1 - t0) + (t3 - t2), t2 - t1, t4 - t3};
+  };
+
+  // Per-call dispatch would open 2 regions per op plus 1 for the reduction.
+  const std::size_t percall_regions = 2 * ops.size() + 1;
+  if (!ops.empty()) {
+    PLF_PROF_COUNT(obs::kCounterPlanLevels, plan.n_levels());
+    PLF_PROF_COUNT(obs::kCounterPlanOps, ops.size());
+  }
+  const std::uint64_t start = stage_clock();
+  if (runs_inline(m * (ops.size() + 1))) {
+    PLF_PROF_COUNT(obs::kCounterPlanInlineEvals, 1);
+    PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, percall_regions);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const par::Range r = par::static_block(0, m, blocks, b);
+      if (!r.empty()) run_block(r, b);
+    }
+  } else {
+    PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, percall_regions - 1);
+    pool_.parallel_for(0, m, run_block, par::Schedule::kStatic);
+  }
+  record_stages(1e-9 * static_cast<double>(stage_clock() - start), stage_ns,
+                !ops.empty());
+
+  double sum = 0.0;
+  for (double p : partial) sum += p;
+  return sum;
 }
 
 }  // namespace plf::core

@@ -8,18 +8,22 @@
 // (the general-purpose multi-core scheme, §3.2), over simulated SPEs
 // (plf::cell) or over a simulated CUDA grid (plf::gpu).
 //
-// Backends receive work at two grains:
+// Backends receive work at three grains:
 //
 //   run_down/run_root/run_scale/run_root_reduce — one kernel invocation,
 //       one synchronization per call (the paper's per-call structure whose
 //       spawn/sync overhead drives Fig. 9);
-//   run_plan — a whole evaluation's dependency-leveled batch of PlfOps
-//       (core/plan.hpp), the engine's only entry. The default implementation
-//       loops ops through the per-call entries, so every backend is
-//       plan-capable and bit-identical to per-call dispatch from day one;
-//       backends override it to run each op's kernels back to back per site
-//       chunk and amortize synchronization across the plan. PerCallBackend
-//       pins any backend to that default.
+//   run_plan — a dependency-leveled batch of PlfOps (core/plan.hpp). The
+//       default implementation loops ops through the per-call entries, so
+//       every backend is plan-capable and bit-identical to per-call dispatch
+//       from day one; backends override it to run each op's kernels back to
+//       back per site chunk and amortize synchronization across the plan;
+//   run_evaluation — a whole evaluation, the engine's only entry: the plan
+//       plus its EvalTail (scaler-total retire/fold and the root reduction).
+//       The default runs retire, run_plan, fold and run_root_reduce in turn.
+//       ThreadedBackend overrides it to run all of it in at most one region.
+//
+// PerCallBackend pins any backend to the defaults.
 #pragma once
 
 #include <cstddef>
@@ -78,6 +82,15 @@ class ExecutionBackend {
   /// bit-identity (per-site math is partition-invariant; level order keeps
   /// the data dependencies).
   virtual void run_plan(const KernelSet& ks, const PlfPlan& plan);
+
+  /// Run one evaluation — `plan` (possibly empty) inside `tail`'s per-site
+  /// stages (see EvalTail) — and return its log likelihood. The default runs
+  /// retire on the calling thread, run_plan when the plan has ops, fold on
+  /// the calling thread, then run_root_reduce: the per-call entries' own
+  /// regions, nothing fused. Overrides must return the same bits as this
+  /// default does on the same backend.
+  virtual double run_evaluation(const KernelSet& ks, const PlfPlan& plan,
+                                const EvalTail& tail);
 };
 
 /// Per-call dispatch as an executor: wraps `inner`, forwards the four per-call
@@ -131,10 +144,13 @@ class SerialBackend final : public ExecutionBackend {
 /// OpenMP-style parallel-for over the outermost pattern loop (§3.2): one
 /// parallel region per PLF invocation with an implicit barrier at the end —
 /// the spawn/sync structure whose overhead drives Fig. 9. run_plan lifts
-/// that structure to one region per plan: each worker runs every op's
-/// down/root kernel then scale, in level order, on its own site chunk, so a
-/// k-node plan costs 1 region instead of per-call's 2k
-/// (docs/EXECUTION_PLAN.md).
+/// that structure to one region per plan, and run_evaluation to one region
+/// per evaluation: each block of the static schedule runs retire, every
+/// op's down/root kernel then scale in level order, fold and its share of
+/// the root reduction on its own site chunk, so a k-node evaluation costs 1
+/// region instead of per-call's 2k+1. An evaluation too small to repay a
+/// region (runs_inline) walks the same blocks on the calling thread and
+/// opens none (docs/EXECUTION_PLAN.md).
 class ThreadedBackend final : public ExecutionBackend {
  public:
   explicit ThreadedBackend(par::ThreadPool& pool) : pool_(pool) {}
@@ -149,6 +165,14 @@ class ThreadedBackend final : public ExecutionBackend {
   double run_root_reduce(const KernelSet& ks, const RootReduceArgs& a,
                          std::size_t m) override;
   void run_plan(const KernelSet& ks, const PlfPlan& plan) override;
+  double run_evaluation(const KernelSet& ks, const PlfPlan& plan,
+                        const EvalTail& tail) override;
+
+  /// The grain rule: true when an evaluation of `site_ops` site-ops
+  /// (m x (ops + 1), the reduction counting as one op) runs inline on the
+  /// calling thread instead of in a pool region. Depends only on site_ops
+  /// and the pool size.
+  bool runs_inline(std::size_t site_ops) const;
 
   par::ThreadPool& pool() { return pool_; }
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/kernel_contracts.hpp"
+#include "numerics/ulp.hpp"
 #include "obs/names.hpp"
 #include "obs/profile.hpp"
 #include "util/clock.hpp"
@@ -12,6 +13,27 @@
 #include "util/serialize.hpp"
 
 namespace plf::core {
+
+namespace {
+
+/// True when `b` differs from `a` in p_invariant alone. Every other parameter
+/// is bit-equal, so both give the same transition matrices and with them the
+/// same CLVs and scaler rows: p_invariant only weighs the root reduction's
+/// +I mixture.
+bool only_p_invariant_changes(const phylo::GtrParams& a,
+                              const phylo::GtrParams& b) {
+  for (std::size_t i = 0; i < a.rates.size(); ++i) {
+    if (!num::exactly_equal(a.rates[i], b.rates[i])) return false;
+  }
+  for (std::size_t i = 0; i < a.pi.size(); ++i) {
+    if (!num::exactly_equal(a.pi[i], b.pi[i])) return false;
+  }
+  return num::exactly_equal(a.gamma_shape, b.gamma_shape) &&
+         a.n_rate_categories == b.n_rate_categories &&
+         !num::exactly_equal(a.p_invariant, b.p_invariant);
+}
+
+}  // namespace
 
 EngineStats operator-(const EngineStats& a, const EngineStats& b) {
   static_assert(sizeof(EngineStats) == 15 * sizeof(std::uint64_t),
@@ -98,6 +120,7 @@ PlfEngine::PlfEngine(phylo::PatternMatrix data, const phylo::GtrParams& params,
     }
   }
   const_lik_.assign(m_, 0.0f);
+  refresh_const_lik();
 
   // Tip-specialized ops only for backends that dispatch them: PerCallBackend
   // advertises nothing, so per-call dispatch stays the exact A/B baseline.
@@ -180,6 +203,7 @@ void PlfEngine::reject() {
   // Undo model change.
   if (old_params_) {
     model_ = phylo::SubstitutionModel(*old_params_);
+    refresh_const_lik();
   }
   // Flip buffers back (no recomputation — the MrBayes restore path).
   for (int id : flipped_nodes_) {
@@ -249,8 +273,17 @@ void PlfEngine::set_model(const phylo::GtrParams& params) {
   PLF_CHECK(params.n_rate_categories == model_.n_rate_categories(),
             "set_model: rate category count is fixed at engine construction");
   if (in_proposal_ && !old_params_) old_params_ = model_.params();
+  const bool tail_only = only_p_invariant_changes(model_.params(), params);
   model_ = phylo::SubstitutionModel(params);
   k_ = model_.n_rate_categories();
+  refresh_const_lik();
+  if (tail_only) {
+    // Every matrix, CLV and scaler row stays valid: the next evaluation only
+    // runs the tail (see retouch_scalers_).
+    retouch_scalers_ = true;
+    lik_valid_ = false;
+    return;
+  }
   for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
     if (tree_.node(static_cast<int>(id)).parent != phylo::kNoNode) {
       mark_branch_dirty(static_cast<int>(id));
@@ -264,6 +297,22 @@ void PlfEngine::set_model(const phylo::GtrParams& params) {
     }
   }
   lik_valid_ = false;
+}
+
+void PlfEngine::refresh_const_lik() {
+  // +I: a pattern's invariant-site likelihood is the summed frequency of the
+  // states every taxon could share. It depends only on pi (the masks are
+  // fixed by the data), so it is rebuilt where the model changes, never per
+  // evaluation; with p_invariant == 0 the reduction does not read it.
+  if (model_.params().p_invariant <= 0.0) return;
+  const auto& pi = model_.pi();
+  for (std::size_t c = 0; c < m_; ++c) {
+    float s = 0.0f;
+    for (std::size_t st = 0; st < 4; ++st) {
+      if ((const_mask_[c] >> st) & 1u) s += static_cast<float>(pi[st]);
+    }
+    const_lik_[c] = s;
+  }
 }
 
 void PlfEngine::rebuild_branch(int node) {
@@ -334,6 +383,15 @@ void PlfEngine::collect_recompute_targets() {
     }
   }
 
+  // The root reduction reads the root's CLV, so an evicted root is rebuilt
+  // even when nothing is dirty (a tail-only evaluation).
+  const auto root = static_cast<std::size_t>(tree_.root());
+  if (recompute_[root] == 0 &&
+      !arena_.resident(clv_slot(tree_.root(), nodes_[root].active))) {
+    recompute_[root] = 1;
+    work.push_back(tree_.root());
+  }
+
   // Grow the set with evicted ancestors: every internal child an in-set node
   // reads must be resident, and a non-resident one joins the set as a
   // rematerialization — recursively, since its own children may be evicted
@@ -379,6 +437,11 @@ void PlfEngine::collect_recompute_targets() {
     recompute_targets_.push_back({id, target, remat});
   }
   if (remat_ops > 0) arena_.note_recompute(remat_ops);
+
+  plan_target_.assign(tree_.n_nodes(), -1);
+  for (const RecomputeEntry& e : recompute_targets_) {
+    plan_target_[static_cast<std::size_t>(e.node)] = e.target;
+  }
 }
 
 void PlfEngine::stage_arena() {
@@ -410,12 +473,9 @@ void PlfEngine::stage_arena() {
 }
 
 void PlfEngine::build_plan() {
-  // recompute_ already marks the set (collect_recompute_targets owns it, so
-  // the eviction closure and the leveling agree); resolve the targets here.
-  plan_target_.assign(tree_.n_nodes(), -1);
-  for (const RecomputeEntry& e : recompute_targets_) {
-    plan_target_[static_cast<std::size_t>(e.node)] = e.target;
-  }
+  // recompute_ and plan_target_ already describe the set
+  // (collect_recompute_targets owns them, so the eviction closure, the
+  // leveling and the tail agree).
   const std::vector<int> levels = compute_levels(tree_, recompute_);
 
   plan_.reset(tree_.n_nodes(), m_);
@@ -545,101 +605,36 @@ void PlfEngine::evaluate() {
   // dispatch it as one dependency-leveled plan.
   collect_recompute_targets();
 
-  // 2a'. Pin every CLV buffer this evaluation reads or writes (acquiring
+  // 2a. Pin every CLV buffer this evaluation reads or writes (acquiring
   // target storage, evicting LRU unpinned slots under a finite budget)
   // before any kernel or scaler pass runs.
   stage_arena();
 
-  // 2a. Retire the recomputed nodes' old scaler-total contributions while
-  // their pre-evaluation buffers are still active, walking the same order as
-  // the post-kernel addition pass. Rematerializations are skipped: their
-  // recomputed scaler row is bit-identical to the one already absorbed, and
-  // (t - x) + x != t in floating point — touching the total would break
-  // budgeted/unbudgeted bit-identity.
-  if (!scaler_resum_) {
-    PLF_PROF_SCOPE(obs::kTimerScalerSum);
-    for (const RecomputeEntry& e : recompute_targets_) {
-      if (e.remat) continue;
-      const NodeState& st = nodes_[static_cast<std::size_t>(e.node)];
-      const float* sc = st.scaler[static_cast<std::size_t>(st.active)].data();
-      for (std::size_t c = 0; c < m_; ++c) {
-        scaler_total_[c] -= static_cast<double>(sc[c]);
-      }
-    }
-  }
-
-  // 2b. Build, execute and post-process the plan.
+  // 2b. Build the plan — an empty one when nothing is dirty (a tail-only
+  // evaluation: the scaler total and the root reduction still run).
   if (!recompute_targets_.empty()) {
-    {
-      PLF_PROF_SCOPE(obs::kTimerPlanBuild);
-      build_plan();
-    }
-    Stopwatch plf_sw;
-    {
-      PLF_PROF_SCOPE(obs::kTimerPlanExecute);
-      backend_->run_plan(*kernels_, plan_);
-    }
-    stats_.plf_seconds += plf_sw.seconds();
-    post_process_plan();
+    PLF_PROF_SCOPE(obs::kTimerPlanBuild);
+    build_plan();
+  } else {
+    plan_.reset(tree_.n_nodes(), m_);
+    plan_.finalize();
   }
 
-  // 3. Fold the new scaler rows into the per-pattern total — incrementally
-  // (same node order as the 2a subtraction), or a full resum over every
-  // internal node when flagged (first evaluation, reject, topology change).
-  {
-    PLF_PROF_SCOPE(obs::kTimerScalerSum);
-    if (scaler_resum_) {
-      scaler_total_.assign(m_, 0.0);
-      for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
-        const phylo::TreeNode& n = tree_.node(static_cast<int>(id));
-        if (n.is_leaf()) continue;
-        const NodeState& st = nodes_[id];
-        const float* sc = st.scaler[static_cast<std::size_t>(st.active)].data();
-        for (std::size_t c = 0; c < m_; ++c) scaler_total_[c] += sc[c];
-      }
-      scaler_resum_ = false;
-      ++stats_.scaler_resums;
-    } else {
-      for (const RecomputeEntry& e : recompute_targets_) {
-        if (e.remat) continue;  // same skip as the 2a subtraction pass
-        const NodeState& st = nodes_[static_cast<std::size_t>(e.node)];
-        const float* sc = st.scaler[static_cast<std::size_t>(e.target)].data();
-        for (std::size_t c = 0; c < m_; ++c) {
-          scaler_total_[c] += static_cast<double>(sc[c]);
-        }
-        ++stats_.scaler_delta_updates;
-      }
-    }
-  }
+  // 3. The per-site tail around the ops: scaler-total bookkeeping and the
+  // root reduction.
+  build_tail();
 
-  // 4. Root reduction (with the +I invariant-sites mixture when enabled).
-  Stopwatch reduce_sw;
-  RootReduceArgs rr;
-  const NodeState& root = nodes_[static_cast<std::size_t>(tree_.root())];
-  rr.cl = arena_.data(clv_slot(tree_.root(), root.active));
-  rr.ln_scaler_total = scaler_total_.data();
-  rr.weights = data_.weights().data();
-  const auto& pi = model_.pi();
-  for (std::size_t i = 0; i < 4; ++i) rr.pi[i] = static_cast<float>(pi[i]);
-  rr.K = k_;
-  if (model_.params().p_invariant > 0.0) {
-    for (std::size_t c = 0; c < m_; ++c) {
-      float s = 0.0f;
-      for (std::size_t st = 0; st < 4; ++st) {
-        if ((const_mask_[c] >> st) & 1u) s += static_cast<float>(pi[st]);
-      }
-      const_lik_[c] = s;
-    }
-    rr.const_lik = const_lik_.data();
-    rr.p_invariant = static_cast<float>(model_.params().p_invariant);
-  }
+  // 4. Execute the whole evaluation in one backend call, then apply the
+  // deferred flips.
+  Stopwatch plf_sw;
   {
-    PLF_PROF_SCOPE(obs::kTimerRootReduce);
-    ln_lik_ = backend_->run_root_reduce(*kernels_, rr, m_);
+    PLF_PROF_SCOPE(obs::kTimerPlanExecute);
+    ln_lik_ = backend_->run_evaluation(*kernels_, plan_, tail_);
   }
+  stats_.plf_seconds += plf_sw.seconds();
+  post_process_plan();
   ++stats_.reduce_calls;
   stats_.pattern_iterations += m_;
-  stats_.plf_seconds += reduce_sw.seconds();
 
   // The evaluation's working set survives until here (the root reduction
   // reads the root CLV); from the next evaluation on, everything is fair
@@ -647,6 +642,73 @@ void PlfEngine::evaluate() {
   arena_.release_eval_pins();
 
   lik_valid_ = true;
+}
+
+void PlfEngine::build_tail() {
+  tail_.scaler_total = scaler_total_.data();
+  tail_.resum = scaler_resum_;
+  const bool retouch = retouch_scalers_;
+  retouch_scalers_ = false;
+  tail_.retire.clear();
+  tail_.fold.clear();
+  // A node's buffer once this evaluation's flips are applied.
+  const auto post_active = [this](int id) {
+    const int target = plan_target_[static_cast<std::size_t>(id)];
+    return target >= 0 ? target : nodes_[static_cast<std::size_t>(id)].active;
+  };
+  if (scaler_resum_) {
+    // Full resum over every internal node, in id order (first evaluation,
+    // reject, topology change).
+    for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
+      if (tree_.node(static_cast<int>(id)).is_leaf()) continue;
+      const int buf = post_active(static_cast<int>(id));
+      tail_.fold.push_back(
+          nodes_[id].scaler[static_cast<std::size_t>(buf)].data());
+    }
+    scaler_resum_ = false;
+    ++stats_.scaler_resums;
+  } else if (retouch) {
+    // Every internal node, in recompute postorder, as if all were recomputed.
+    for (int id : tree_.postorder_internals()) {
+      const NodeState& st = nodes_[static_cast<std::size_t>(id)];
+      tail_.retire.push_back(
+          st.scaler[static_cast<std::size_t>(st.active)].data());
+      tail_.fold.push_back(
+          st.scaler[static_cast<std::size_t>(post_active(id))].data());
+      ++stats_.scaler_delta_updates;
+    }
+  } else {
+    // Incremental: retire each recomputed node's old row while its
+    // pre-evaluation buffer is still the active one, fold its new row in,
+    // both in recompute postorder. Rematerializations are skipped: their
+    // recomputed row is bit-identical to the one already absorbed, and
+    // (t - x) + x != t in floating point — touching the total would break
+    // budgeted/unbudgeted bit-identity.
+    for (const RecomputeEntry& e : recompute_targets_) {
+      if (e.remat) continue;
+      const NodeState& st = nodes_[static_cast<std::size_t>(e.node)];
+      tail_.retire.push_back(
+          st.scaler[static_cast<std::size_t>(st.active)].data());
+      tail_.fold.push_back(
+          st.scaler[static_cast<std::size_t>(e.target)].data());
+      ++stats_.scaler_delta_updates;
+    }
+  }
+
+  // Root reduction (with the +I invariant-sites mixture when enabled) over
+  // the root's post-evaluation CLV.
+  RootReduceArgs& rr = tail_.reduce;
+  rr = RootReduceArgs{};
+  rr.cl = arena_.data(clv_slot(tree_.root(), post_active(tree_.root())));
+  rr.ln_scaler_total = scaler_total_.data();
+  rr.weights = data_.weights().data();
+  const auto& pi = model_.pi();
+  for (std::size_t i = 0; i < 4; ++i) rr.pi[i] = static_cast<float>(pi[i]);
+  rr.K = k_;
+  if (model_.params().p_invariant > 0.0) {
+    rr.const_lik = const_lik_.data();
+    rr.p_invariant = static_cast<float>(model_.params().p_invariant);
+  }
 }
 
 void PlfEngine::set_instance_label(std::string label) {
@@ -782,6 +844,7 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
   PLF_CHECK(p.n_rate_categories == k_,
             "restore_state: rate category count is fixed at construction");
   model_ = phylo::SubstitutionModel(p);
+  refresh_const_lik();
 
   // Branch matrices are pure functions of (model, branch length): rebuild
   // every branch eagerly and leave it CLEAN. Leaving branches dirty instead
@@ -841,6 +904,7 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
   PLF_CHECK(total.size() == m_, "restore_state: scaler total size mismatch");
   scaler_total_.assign(total.begin(), total.end());
   scaler_resum_ = r.u8() != 0;
+  retouch_scalers_ = false;
   ln_lik_ = r.f64();
   lik_valid_ = r.u8() != 0;
 

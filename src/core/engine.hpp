@@ -49,7 +49,7 @@ struct EngineStats {
   std::uint64_t reduce_calls = 0;
   std::uint64_t tm_builds = 0;            ///< per-branch matrix rebuilds
   std::uint64_t pattern_iterations = 0;   ///< sites actually iterated by kernels
-  double plf_seconds = 0.0;               ///< wall time inside kernels
+  double plf_seconds = 0.0;               ///< wall time in run_evaluation
 
   // Plan dispatch (docs/EXECUTION_PLAN.md). One build per evaluation with
   // dirty nodes; plan_ops/plan_levels accumulate over builds, so their ratio
@@ -240,7 +240,8 @@ class PlfEngine {
   void evaluate() PLF_REQUIRES(checker_);
   /// The evaluation phases evaluate() composes (docs/EXECUTION_PLAN.md):
   /// collect the dirty postorder with each node's write target, then
-  /// build-plan / execute-plan / post-process.
+  /// build-plan / build-tail / execute (ExecutionBackend::run_evaluation) /
+  /// post-process.
   void collect_recompute_targets() PLF_REQUIRES(checker_);
   /// Pin every CLV buffer this evaluation reads or writes, in the documented
   /// LRU touch order (external reads in recompute postorder, then write
@@ -248,6 +249,11 @@ class PlfEngine {
   /// Runs before any kernel, so no kernel ever sees an evicted pointer.
   void stage_arena() PLF_REQUIRES(checker_);
   void build_plan() PLF_REQUIRES(checker_);
+  /// Fill tail_ — the scaler rows to retire and fold (or a full resum) and
+  /// the root reduction's arguments — for the plan about to run.
+  void build_tail() PLF_REQUIRES(checker_);
+  /// Rebuild const_lik_ under the current pi (see const_lik_).
+  void refresh_const_lik();
   /// Deferred flips + dirty clearing after a plan executes.
   void post_process_plan() PLF_REQUIRES(checker_);
   /// Arena footprint gauges (engine.clv_bytes + arena.*). Called from the
@@ -274,8 +280,9 @@ class PlfEngine {
 
   // Batched dispatch (core/plan.hpp). recompute_targets_ is the dirty
   // postorder with each node's resolved write target — the shared input of
-  // build_plan and of the incremental scaler passes.
+  // build_plan and of build_tail.
   PlfPlan plan_;
+  EvalTail tail_;
   std::vector<RecomputeEntry> recompute_targets_;
   std::vector<char> recompute_;    ///< node id -> in recompute set (scratch)
   std::vector<int> plan_target_;   ///< node id -> target buffer, -1 outside
@@ -293,9 +300,18 @@ class PlfEngine {
   /// whenever buffer flips were reverted wholesale (reject) or node
   /// ancestry changed (NNI/SPR).
   bool scaler_resum_ = true;
+  /// Set by a set_model that changes p_invariant alone. Nothing is
+  /// recomputed, yet the next incremental scaler pass still retires and
+  /// re-adds every internal node's unchanged row, in recompute postorder:
+  /// (t - x) + x != t in floating point, and this keeps the total — and every
+  /// later likelihood — bit-identical to recomputing the whole tree on such
+  /// a move, as set_model does for any other parameter.
+  bool retouch_scalers_ = false;
   /// +I support: per-pattern AND of all taxon masks (which states could be
   /// shared by every taxon; fixed by the data) and the resulting
-  /// invariant-site likelihoods under the current pi (refreshed per eval).
+  /// invariant-site likelihoods under the current pi. refresh_const_lik()
+  /// rebuilds them wherever the model changes (construction, set_model, a
+  /// reject that restores the model, restore_state) while p_invariant > 0.
   std::vector<phylo::StateMask> const_mask_;
   aligned_vector<float> const_lik_;
 

@@ -198,6 +198,33 @@ inline void check_plan(const PlfPlan& plan) {
 #endif
 }
 
+/// Trust boundary of whole-evaluation dispatch: every run_evaluation
+/// implementation calls this once per evaluation, next to check_plan. The
+/// executors run the tail's stages per site chunk around the ops, so they
+/// rely on (O(rows) — once per evaluation, not per site):
+///
+///   - the reduction reads the very total the scaler stages update
+///     (reduce.ln_scaler_total == scaler_total), over the plan's m;
+///   - a resum retires nothing (the total is rebuilt from zero);
+///   - every retire/fold row is a real scaler row.
+inline void check_eval_tail(const PlfPlan& plan, const EvalTail& tail) {
+  PLF_DCHECK(tail.scaler_total != nullptr,
+             "run_evaluation: tail needs a scaler total");
+  PLF_DCHECK(tail.reduce.ln_scaler_total == tail.scaler_total,
+             "run_evaluation: root reduction must read the tail's total");
+  PLF_DCHECK(!tail.resum || tail.retire.empty(),
+             "run_evaluation: a resum must not retire rows");
+  check_root_reduce(tail.reduce, 0, plan.m());
+#if PLF_CONTRACTS_LEVEL
+  for (const float* row : tail.retire) {
+    PLF_DCHECK(row != nullptr, "run_evaluation: null retire row");
+  }
+  for (const float* row : tail.fold) {
+    PLF_DCHECK(row != nullptr, "run_evaluation: null fold row");
+  }
+#endif
+}
+
 /// Trust boundary of the budgeted CLV arena: every mutating arena entry
 /// point calls this (enforced by plf_lint's arena-contract rule). Always-on
 /// O(1) body keeps the hard budget hard — the resident total may never

@@ -15,9 +15,10 @@
 // Each backend then executes the batch its own way: the base
 // ExecutionBackend::run_plan loops ops through the per-call entries (per-call
 // dispatch itself; core::PerCallBackend runs any backend that way), the
-// threaded backend runs the whole plan in one parallel region, each worker
-// running every op's down/root then scale kernel back to back on its own
-// site chunk (~3 barriers/node -> 1 per plan), and the GPU backend
+// threaded backend runs the whole evaluation — plan and EvalTail — in at most
+// one parallel region, each block running every op's down/root then scale
+// kernel back to back on its own site chunk (~3 barriers/node -> 1 per
+// evaluation, or 0 when too small to repay a region), and the GPU backend
 // keeps each op's CLV block device-resident between the down and scale
 // kernels, coalescing the PCIe round trip. See docs/EXECUTION_PLAN.md.
 #pragma once
@@ -65,6 +66,35 @@ struct PlfOp {
   std::size_t run_m = 0;
   /// Always null. Kept only because mc3bench/trace.cpp reads it.
   const void* repeats = nullptr;
+};
+
+/// The per-site work that finishes an evaluation around its plan's ops: the
+/// scaler-total bookkeeping and the root reduction. Every stage is per-site
+/// except the reduction, so an executor may run the whole evaluation on each
+/// site chunk in turn — retire, the ops, fold, reduce — and keep the bits,
+/// provided it reduces over the same blocks and sums the partials in block
+/// order (docs/EXECUTION_PLAN.md).
+///
+/// Per site c, in this order:
+///   1. total[c] = 0 when `resum`;
+///   2. total[c] -= row[c] for each `retire` row, in order — BEFORE the ops,
+///      because an op that overwrites its active buffer rewrites the very
+///      row being retired;
+///   3. the plan's ops;
+///   4. total[c] += row[c] for each `fold` row, in order;
+///   5. the root reduction `reduce` (which reads total via ln_scaler_total).
+struct EvalTail {
+  /// Per-pattern summed log scalers (m entries), updated in place.
+  double* scaler_total = nullptr;
+  /// Rebuild the total from zero: `fold` then lists every internal node's
+  /// post-evaluation scaler row, and `retire` is empty.
+  bool resum = false;
+  /// Old scaler rows of the recomputed nodes, subtracted before the ops.
+  std::vector<const float*> retire;
+  /// Scaler rows added after the ops.
+  std::vector<const float*> fold;
+  /// Root reduction over the root's post-evaluation CLV.
+  RootReduceArgs reduce;
 };
 
 /// A dependency-leveled batch of PlfOps. Build with add() (any level order),

@@ -20,19 +20,27 @@ inline constexpr const char* kTimerTiProbs = "engine.TiProbs";
 inline constexpr const char* kTimerScalerSum = "engine.ScalerSum";
 
 // Plan dispatch (batched engine->backend interface, docs/EXECUTION_PLAN.md).
-// plan.build/plan.execute bracket the engine's two phases; plan.level is the
-// wall time of one fused batch: the whole plan's single region on the
-// threaded backend, one dependency level on the GPU backend (the report
-// counts it toward the PLF section — when kernels are fused into one region,
-// per-kernel attribution is by design unavailable).
+// plan.build/plan.execute bracket the engine's two phases (plan.execute is
+// the whole run_evaluation call: ops and tail); plan.level is the wall time
+// of one fused batch: the plan's ops within a threaded evaluation (see
+// docs/OBSERVABILITY.md for how the fused evaluation's wall time is split
+// over plan.level, engine.ScalerSum and plf.RootReduce), one dependency level
+// on the GPU backend (the report counts it toward the PLF section — when
+// kernels are fused into one region, per-kernel attribution is by design
+// unavailable).
 inline constexpr const char* kTimerPlanBuild = "plan.build";
 inline constexpr const char* kTimerPlanExecute = "plan.execute";
 inline constexpr const char* kTimerPlanLevel = "plan.level";
 inline constexpr const char* kCounterPlanLevels = "plan.levels";
 inline constexpr const char* kCounterPlanOps = "plan.ops";
-/// Parallel regions NOT opened relative to per-call dispatch (2 per op minus
-/// the plan's 1) — the reclaimed spawn/sync the Fig. 12 breakdown attributes.
+/// Parallel regions NOT opened relative to per-call dispatch, which opens 2
+/// per op plus 1 for the root reduction — the reclaimed spawn/sync the Fig. 12
+/// breakdown attributes. A threaded evaluation saves all but its one region,
+/// or all of them when it runs inline; a bare run_plan saves 2 per op minus 1.
 inline constexpr const char* kCounterPlanRegionsSaved = "plan.regions_saved";
+/// Threaded evaluations the grain rule ran inline on the calling thread
+/// because they were too small to repay a pool region.
+inline constexpr const char* kCounterPlanInlineEvals = "plan.inline_evals";
 
 // Thread pool (multi-core backend, §3.2).
 inline constexpr const char* kTimerParRegion = "par.region";

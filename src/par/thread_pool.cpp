@@ -59,18 +59,13 @@ struct ThreadPool::Region {
   }
 
   /// Index range of one unit. Static units are the contiguous per-thread
-  /// blocks (remainder spread over the first blocks) — the partition depends
-  /// only on (begin, end, threads), never on which thread claims the block.
+  /// blocks of static_block() — the partition depends only on (begin, end,
+  /// threads), never on which thread claims the block.
   Range unit_range(std::size_t unit) const {
-    const std::size_t total = end - begin;
     if (schedule == Schedule::kStatic) {
-      const std::size_t base = total / threads;
-      const std::size_t extra = total % threads;
-      const std::size_t my_size = base + (unit < extra ? 1 : 0);
-      const std::size_t my_begin =
-          begin + unit * base + std::min(unit, extra);
-      return Range{my_begin, my_begin + my_size};
+      return static_block(begin, end, threads, unit);
     }
+    const std::size_t total = end - begin;
     const std::size_t start = unit * chunk;
     return Range{begin + start, begin + std::min(total, start + chunk)};
   }

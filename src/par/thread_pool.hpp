@@ -44,6 +44,22 @@ struct Range {
   bool empty() const { return begin >= end; }
 };
 
+/// Block `index` of the static schedule's partition of [begin, end) into
+/// `blocks` contiguous blocks, the remainder spread over the first blocks.
+/// The partition depends only on its arguments, never on which thread runs
+/// a block, so a caller that walks the blocks itself in index order (the
+/// threaded backend's inline evaluations) reproduces a region's per-block
+/// reduction exactly.
+inline Range static_block(std::size_t begin, std::size_t end,
+                          std::size_t blocks, std::size_t index) {
+  const std::size_t total = end - begin;
+  const std::size_t base = total / blocks;
+  const std::size_t extra = total % blocks;
+  const std::size_t first =
+      begin + index * base + (index < extra ? index : extra);
+  return Range{first, first + base + (index < extra ? 1 : 0)};
+}
+
 /// How parallel_for distributes iterations.
 enum class Schedule {
   kStatic,   ///< one contiguous block per worker (OpenMP schedule(static))

@@ -568,9 +568,28 @@ void Tree::undo_spr(const SprUndo& undo) {
 void Tree::validate() const {
   PLF_CHECK(n_taxa() >= 3, "tree must have at least 3 taxa");
   PLF_CHECK(nodes_.size() == 2 * n_taxa() - 2, "node count mismatch");
-  PLF_CHECK(root_ != kNoNode && !node(root_).is_leaf(), "bad root");
+  PLF_CHECK(leaf_of_.size() == n_taxa(), "leaf_of size mismatch");
+  // Ids may come from an untrusted stream (Tree::load): range-check every one
+  // before anything below indexes with it.
+  const auto valid_id = [this](int id) {
+    return id >= 0 && static_cast<std::size_t>(id) < nodes_.size();
+  };
+  PLF_CHECK(valid_id(root_), "root id out of range");
+  PLF_CHECK(valid_id(outgroup_), "outgroup id out of range");
+  for (const TreeNode& n : nodes_) {
+    PLF_CHECK(n.parent == kNoNode || valid_id(n.parent),
+              "parent id out of range");
+    PLF_CHECK(n.left == kNoNode || valid_id(n.left), "child id out of range");
+    PLF_CHECK(n.right == kNoNode || valid_id(n.right),
+              "child id out of range");
+    PLF_CHECK(n.taxon == kNoNode ||
+                  (n.taxon >= 0 &&
+                   static_cast<std::size_t>(n.taxon) < n_taxa()),
+              "taxon id out of range");
+  }
+  PLF_CHECK(!node(root_).is_leaf(), "bad root");
   PLF_CHECK(node(root_).parent == kNoNode, "root must have no parent");
-  PLF_CHECK(outgroup_ != kNoNode && node(outgroup_).is_leaf(), "bad outgroup");
+  PLF_CHECK(node(outgroup_).is_leaf(), "bad outgroup");
   PLF_CHECK(node(outgroup_).parent == root_, "outgroup must hang off the root");
 
   std::size_t leaves = 0;

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "cell/machine.hpp"
 #include "core/backend.hpp"
@@ -106,7 +107,15 @@ struct Dataset {
   double ref_lnl = 0.0;
 };
 
-Dataset make_dataset(std::uint64_t seed, std::size_t K, double branch_scale) {
+/// Column counts on either side of ThreadedBackend's grain cutoff (pinned
+/// with runs_inline below): the plan twin runs every evaluation of a
+/// 120-column set inline and opens one region for each of a 4096-column set.
+/// The default 240 columns straddle the cutoff.
+constexpr std::size_t kInlineColumns = 120;
+constexpr std::size_t kRegionColumns = 4096;
+
+Dataset make_dataset(std::uint64_t seed, std::size_t K, double branch_scale,
+                     std::size_t columns = 240) {
   Rng rng(seed);
   Dataset d{seqgen::yule_tree(9, rng, 1.0, branch_scale),
             seqgen::default_gtr_params(), {}, 0.0};
@@ -117,7 +126,7 @@ Dataset make_dataset(std::uint64_t seed, std::size_t K, double branch_scale) {
   // near-identical sequences at the small branch scale would otherwise
   // collapse to a handful of patterns, and duplicate-heavy data is the
   // realistic shape of an uncompressed alignment.
-  const phylo::Alignment aln = ev.evolve(240, rng);
+  const phylo::Alignment aln = ev.evolve(columns, rng);
   std::vector<std::vector<phylo::StateMask>> cols(aln.n_columns());
   for (std::size_t c = 0; c < aln.n_columns(); ++c) {
     cols[c].resize(aln.n_taxa());
@@ -138,79 +147,107 @@ TEST_P(BackendDiffTest, PerCallAndPlanAgreeBitwiseAndMatchReference) {
   const KernelVariant variant = std::get<1>(GetParam());
 
   // Branch-length extremes: near-zero (sequences nearly identical, and CLVs
-  // hug the tip partials), typical, and saturated (CLVs converge toward pi).
+  // hug the tip partials), typical, and saturated (CLVs converge toward pi);
+  // plus one typical set on each side of the threaded grain cutoff.
+  struct Case {
+    double scale;
+    std::size_t K;
+    std::uint64_t seed;
+    std::size_t columns;
+  };
+  std::vector<Case> cases;
   for (const double scale : {0.0005, 0.1, 2.5}) {
     for (const std::size_t K : {std::size_t{1}, std::size_t{4}}) {
       for (const std::uint64_t seed : {11ull, 23ull}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "backend=" << name_of(kind)
-                     << " variant=" << to_string(variant) << " scale=" << scale
-                     << " K=" << K << " seed=" << seed);
-        const Dataset d = make_dataset(seed, K, scale);
-        const std::size_t m = d.data.n_patterns();
+        cases.push_back({scale, K, seed, 240});
+      }
+    }
+  }
+  cases.push_back({0.1, 4, 11, kInlineColumns});
+  cases.push_back({0.1, 4, 11, kRegionColumns});
+  for (const auto& [scale, K, seed, columns] : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "backend=" << name_of(kind)
+                 << " variant=" << to_string(variant) << " scale=" << scale
+                 << " K=" << K << " seed=" << seed
+                 << " columns=" << columns);
+    const Dataset d = make_dataset(seed, K, scale, columns);
+    const std::size_t m = d.data.n_patterns();
 
-        // Twins: same backend kind, same variant — only the executor
-        // differs (PerCallBackend's per-op loop vs the backend's own
-        // run_plan). Every comparison between them below is exact
-        // (EXPECT_EQ, memcmp), which is the acceptance bar for the PlfPlan
-        // refactor: batching and fusing must not move a single bit on any
-        // backend.
-        BackendHolder h_call = BackendHolder::make(kind, /*per_call=*/true);
-        BackendHolder h_plan = BackendHolder::make(kind);
-        PlfEngine percall(d.data, d.params, d.tree, h_call.executor(),
-                          variant);
-        PlfEngine plan(d.data, d.params, d.tree, h_plan.executor(), variant);
+    // Twins: same backend kind, same variant — only the executor
+    // differs (PerCallBackend's per-op loop vs the backend's own
+    // run_plan). Every comparison between them below is exact
+    // (EXPECT_EQ, memcmp), which is the acceptance bar for the PlfPlan
+    // refactor: batching and fusing must not move a single bit on any
+    // backend.
+    BackendHolder h_call = BackendHolder::make(kind, /*per_call=*/true);
+    BackendHolder h_plan = BackendHolder::make(kind);
+    PlfEngine percall(d.data, d.params, d.tree, h_call.executor(),
+                      variant);
+    PlfEngine plan(d.data, d.params, d.tree, h_plan.executor(), variant);
 
-        // Bit-identical lnL and root CLVs, and the plan path must actually
-        // have built plans.
-        const double lnl = percall.log_likelihood();
-        EXPECT_EQ(lnl, plan.log_likelihood());
-        EXPECT_EQ(std::memcmp(percall.node_cl(percall.tree().root()),
-                              plan.node_cl(plan.tree().root()),
-                              m * K * 4 * sizeof(float)),
-                  0);
-        EXPECT_GT(plan.stats().plan_builds, 0u);
-        EXPECT_GT(plan.stats().plan_ops, 0u);
-        // Identical work, batched: the kernel-call accounting must agree.
-        EXPECT_EQ(percall.stats().pattern_iterations,
-                  plan.stats().pattern_iterations);
+    // Bit-identical lnL and root CLVs, and the plan path must actually
+    // have built plans.
+    const double lnl = percall.log_likelihood();
+    EXPECT_EQ(lnl, plan.log_likelihood());
+    EXPECT_EQ(std::memcmp(percall.node_cl(percall.tree().root()),
+                          plan.node_cl(plan.tree().root()),
+                          m * K * 4 * sizeof(float)),
+              0);
+    EXPECT_GT(plan.stats().plan_builds, 0u);
+    EXPECT_GT(plan.stats().plan_ops, 0u);
+    // Identical work, batched: the kernel-call accounting must agree.
+    EXPECT_EQ(percall.stats().pattern_iterations,
+              plan.stats().pattern_iterations);
 
-        // Tip specialization: on tip-capable backends the plan engine must
-        // have routed cherries through the pair-table gather (every binary
-        // tree with more than one internal node has a cherry below the
-        // root), while the per-call engine stays fully generic — it is the
-        // exact A/B baseline the bitwise comparisons above rely on.
-        EXPECT_EQ(percall.stats().tip_tt_ops, 0u);
-        EXPECT_EQ(percall.stats().tip_ti_ops, 0u);
-        EXPECT_EQ(percall.stats().tip_tables_built, 0u);
-        if (has_capability(h_plan.backend->capabilities(),
-                           Capabilities::kTipKernels)) {
-          EXPECT_GT(plan.stats().tip_tt_ops, 0u);
-          EXPECT_GT(plan.stats().tip_tables_built, 0u);
-        } else {
-          EXPECT_EQ(plan.stats().tip_tt_ops, 0u);
-          EXPECT_EQ(plan.stats().tip_tables_built, 0u);
-        }
+    // Tip specialization: on tip-capable backends the plan engine must
+    // have routed cherries through the pair-table gather (every binary
+    // tree with more than one internal node has a cherry below the
+    // root), while the per-call engine stays fully generic — it is the
+    // exact A/B baseline the bitwise comparisons above rely on.
+    EXPECT_EQ(percall.stats().tip_tt_ops, 0u);
+    EXPECT_EQ(percall.stats().tip_ti_ops, 0u);
+    EXPECT_EQ(percall.stats().tip_tables_built, 0u);
+    if (has_capability(h_plan.backend->capabilities(),
+                       Capabilities::kTipKernels)) {
+      EXPECT_GT(plan.stats().tip_tt_ops, 0u);
+      EXPECT_GT(plan.stats().tip_tables_built, 0u);
+    } else {
+      EXPECT_EQ(plan.stats().tip_tt_ops, 0u);
+      EXPECT_EQ(plan.stats().tip_tables_built, 0u);
+    }
 
-        // Both must agree with the independent double-precision pruning
-        // reference within the backend's tolerance.
-        EXPECT_NEAR(lnl, d.ref_lnl, std::abs(d.ref_lnl) * lnl_rel_tol(kind));
+    // Both must agree with the independent double-precision pruning
+    // reference within the backend's tolerance.
+    EXPECT_NEAR(lnl, d.ref_lnl, std::abs(d.ref_lnl) * lnl_rel_tol(kind));
 
-        // Mid-run differential: a branch-length move plus an NNI proposal
-        // exercises partial plans plus the incremental scaler-total path
-        // under this backend; the twins must stay bitwise-locked through it.
-        for (PlfEngine* e : {&percall, &plan}) {
-          e->set_branch_length(e->tree().leaf_of(1), 1.7);
-        }
-        const auto edges = percall.tree().internal_edge_nodes();
-        ASSERT_FALSE(edges.empty());
-        for (PlfEngine* e : {&percall, &plan}) {
-          e->begin_proposal();
-          e->apply_nni(edges.front(), true);
-        }
-        EXPECT_EQ(percall.log_likelihood(), plan.log_likelihood());
-        for (PlfEngine* e : {&percall, &plan}) e->reject();
-        EXPECT_EQ(percall.log_likelihood(), plan.log_likelihood());
+    // Mid-run differential: a branch-length move plus an NNI proposal
+    // exercises partial plans plus the incremental scaler-total path
+    // under this backend; the twins must stay bitwise-locked through it.
+    for (PlfEngine* e : {&percall, &plan}) {
+      e->set_branch_length(e->tree().leaf_of(1), 1.7);
+    }
+    const auto edges = percall.tree().internal_edge_nodes();
+    ASSERT_FALSE(edges.empty());
+    for (PlfEngine* e : {&percall, &plan}) {
+      e->begin_proposal();
+      e->apply_nni(edges.front(), true);
+    }
+    EXPECT_EQ(percall.log_likelihood(), plan.log_likelihood());
+    for (PlfEngine* e : {&percall, &plan}) e->reject();
+    EXPECT_EQ(percall.log_likelihood(), plan.log_likelihood());
+
+    if (kind == BackendKind::kThreaded) {
+      // Each plan-twin evaluation had ops; the smallest had one.
+      const auto& threaded =
+          static_cast<const ThreadedBackend&>(*h_plan.backend);
+      if (columns == kInlineColumns) {
+        ASSERT_TRUE(threaded.runs_inline(m * (d.tree.n_internal() + 1)));
+        EXPECT_EQ(h_plan.pool->stats().regions, 0u);
+      } else if (columns == kRegionColumns) {
+        ASSERT_FALSE(threaded.runs_inline(2 * m));
+        EXPECT_EQ(h_plan.pool->stats().regions,
+                  plan.stats().plan_builds);
       }
     }
   }

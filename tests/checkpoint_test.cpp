@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -72,71 +73,101 @@ TEST(CheckpointTest, EngineChainRoundTripResumesBitExact) {
   par::ThreadPool pool(4);
   core::ThreadedBackend threaded(pool);
   core::SerialBackend serial;
-  const Instance inst = make_instance(10, 300, 91);
+  // Three sets: the threaded plan combos run every evaluation of the small
+  // one inline, straddle the grain cutoff on the medium one, and open
+  // regions on the large one. The large one also turns on the +I mixture
+  // and p-invariant moves, so the resumed run depends on the restored
+  // invariant-site likelihoods and replays tail-only evaluations.
+  const Instance small = make_instance(10, 100, 91);
+  const Instance medium = make_instance(10, 300, 91);
+  const Instance large = [] {
+    Instance inst = make_instance(10, 16000, 91);
+    inst.params.p_invariant = 0.1;
+    return inst;
+  }();
 
-  for (const Combo& c : kCombos) {
-    SCOPED_TRACE(c.name);
-    core::ExecutionBackend& inner =
-        c.threaded ? static_cast<core::ExecutionBackend&>(threaded) : serial;
-    core::PerCallBackend per_call(inner);
-    core::ExecutionBackend& backend =
-        c.per_call ? static_cast<core::ExecutionBackend&>(per_call) : inner;
-    const core::ClvBudget budget = c.budget == nullptr
-                                       ? core::ClvBudget{}
-                                       : core::clv_budget_from_string(c.budget);
-    const auto make_engine = [&] {
-      return std::make_unique<core::PlfEngine>(
-          inst.data, inst.params, inst.tree, backend,
-          core::KernelVariant::kSimdCol, budget);
-    };
-    McmcOptions mo;
-    mo.seed = 33;
-    mo.w_pinv = 0.0;
-    mo.w_spr = 1.0;  // exercise topology state in the checkpoint
+  for (const Instance* inst_ptr : {&small, &medium, &large}) {
+    const Instance& inst = *inst_ptr;
+    const bool is_small = inst_ptr == &small;
+    const bool is_large = inst_ptr == &large;
+    for (const Combo& c : kCombos) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.name << " " << inst.data.n_patterns() << " patterns");
+      pool.reset_stats();
+      core::ExecutionBackend& inner =
+          c.threaded ? static_cast<core::ExecutionBackend&>(threaded) : serial;
+      core::PerCallBackend per_call(inner);
+      core::ExecutionBackend& backend =
+          c.per_call ? static_cast<core::ExecutionBackend&>(per_call) : inner;
+      const core::ClvBudget budget =
+          c.budget == nullptr ? core::ClvBudget{}
+                              : core::clv_budget_from_string(c.budget);
+      const auto make_engine = [&] {
+        return std::make_unique<core::PlfEngine>(
+            inst.data, inst.params, inst.tree, backend,
+            core::KernelVariant::kSimdCol, budget);
+      };
+      McmcOptions mo;
+      mo.seed = 33;
+      mo.w_pinv = is_large ? 1.0 : 0.0;
+      mo.w_spr = 1.0;  // exercise topology state in the checkpoint
 
-    auto ea = make_engine();
-    McmcChain ca(*ea, mo);
-    for (int g = 0; g < 40; ++g) ca.step();
-    const double lnl_at_checkpoint = ca.ln_likelihood();
+      auto ea = make_engine();
+      McmcChain ca(*ea, mo);
+      for (int g = 0; g < 40; ++g) ca.step();
+      const double lnl_at_checkpoint = ca.ln_likelihood();
 
-    // Checkpoint mid-run (some steps were rejects, so the scaler-resum flag
-    // and flipped buffers are in a nontrivial state).
-    std::ostringstream os;
-    {
-      util::BinaryWriter w(os);
-      ea->save_state(w);
-      ca.save_state(w);
+      // Checkpoint mid-run (some steps were rejects, so the scaler-resum flag
+      // and flipped buffers are in a nontrivial state).
+      std::ostringstream os;
+      {
+        util::BinaryWriter w(os);
+        ea->save_state(w);
+        ca.save_state(w);
+      }
+
+      // Continue the original and record its trajectory.
+      std::vector<double> trajectory;
+      for (int g = 0; g < 40; ++g) {
+        ca.step();
+        trajectory.push_back(ca.ln_likelihood());
+      }
+
+      // Restore into a freshly constructed twin and replay.
+      auto eb = make_engine();
+      McmcChain cb(*eb, mo);
+      std::istringstream is(os.str());
+      {
+        util::BinaryReader r(is);
+        eb->restore_state(r);
+        cb.restore_state(r);
+      }
+      EXPECT_EQ(cb.ln_likelihood(), lnl_at_checkpoint);
+      EXPECT_EQ(cb.generation(), 40u);
+      // The restored engine re-evaluates to the checkpointed likelihood
+      // without stepping (CLVs, scalers, and the resum flag all round-trip).
+      EXPECT_EQ(eb->log_likelihood(), lnl_at_checkpoint);
+
+      for (int g = 0; g < 40; ++g) {
+        cb.step();
+        ASSERT_EQ(cb.ln_likelihood(), trajectory[static_cast<std::size_t>(g)])
+            << "diverged at resumed generation " << g;
+      }
+      EXPECT_EQ(eb->tree().to_newick(), ea->tree().to_newick());
+      EXPECT_EQ(eb->model_params().gamma_shape, ea->model_params().gamma_shape);
+      EXPECT_EQ(eb->model_params().p_invariant, ea->model_params().p_invariant);
+
+      if (c.threaded && !c.per_call) {
+        const std::size_t m = inst.data.n_patterns();
+        if (is_large) {
+          ASSERT_FALSE(threaded.runs_inline(2 * m));
+          EXPECT_GT(pool.stats().regions, 0u);
+        } else if (is_small) {
+          ASSERT_TRUE(threaded.runs_inline(m * (inst.tree.n_internal() + 1)));
+          EXPECT_EQ(pool.stats().regions, 0u);
+        }
+      }
     }
-
-    // Continue the original and record its trajectory.
-    std::vector<double> trajectory;
-    for (int g = 0; g < 40; ++g) {
-      ca.step();
-      trajectory.push_back(ca.ln_likelihood());
-    }
-
-    // Restore into a freshly constructed twin and replay.
-    auto eb = make_engine();
-    McmcChain cb(*eb, mo);
-    std::istringstream is(os.str());
-    {
-      util::BinaryReader r(is);
-      eb->restore_state(r);
-      cb.restore_state(r);
-    }
-    EXPECT_EQ(cb.ln_likelihood(), lnl_at_checkpoint);
-    EXPECT_EQ(cb.generation(), 40u);
-    // The restored engine re-evaluates to the checkpointed likelihood
-    // without stepping (CLVs, scalers, and the resum flag all round-trip).
-    EXPECT_EQ(eb->log_likelihood(), lnl_at_checkpoint);
-
-    for (int g = 0; g < 40; ++g) {
-      cb.step();
-      ASSERT_EQ(cb.ln_likelihood(), trajectory[static_cast<std::size_t>(g)])
-          << "diverged at resumed generation " << g;
-    }
-    EXPECT_EQ(eb->tree().to_newick(), ea->tree().to_newick());
-    EXPECT_EQ(eb->model_params().gamma_shape, ea->model_params().gamma_shape);
   }
 }
 
@@ -363,6 +394,83 @@ TEST(CheckpointReaderTest, ForgedTreeCountFailsAsTruncatedStream) {
     expect_truncated(forged_stream({n}, true), load);        // nodes
     expect_truncated(forged_stream({0, n}, true), load);     // leaf ids
     expect_truncated(forged_stream({0, 0, n}, true), load);  // taxon names
+  }
+}
+
+// The ids a TREE section carries are untrusted too: a root, outgroup, child,
+// parent or taxon id out of range must fail the load with plf::Error before
+// Tree::validate indexes anything with it.
+TEST(CheckpointReaderTest, OutOfRangeTreeIdsFailWithError) {
+  const phylo::Tree good = phylo::Tree::from_newick("(A:0.1,B:0.2,C:0.3);");
+  ASSERT_EQ(good.n_nodes(), 4u);
+  struct Fields {
+    std::vector<phylo::TreeNode> nodes;
+    std::vector<int> leaf_of;
+    int root = 0;
+    int outgroup = 0;
+  };
+  Fields base;
+  for (std::size_t id = 0; id < good.n_nodes(); ++id) {
+    base.nodes.push_back(good.node(static_cast<int>(id)));
+  }
+  for (std::size_t t = 0; t < good.n_taxa(); ++t) {
+    base.leaf_of.push_back(good.leaf_of(static_cast<int>(t)));
+  }
+  base.root = good.root();
+  base.outgroup = good.outgroup();
+  // The TREE section layout of Tree::save.
+  const auto load = [&](const Fields& f) {
+    std::ostringstream os;
+    {
+      util::BinaryWriter w(os);
+      w.section("TREE");
+      w.u64(f.nodes.size());
+      for (const phylo::TreeNode& n : f.nodes) {
+        w.i64(n.parent);
+        w.i64(n.left);
+        w.i64(n.right);
+        w.f64(n.length);
+        w.i64(n.taxon);
+      }
+      w.u64(f.leaf_of.size());
+      for (int id : f.leaf_of) w.i64(id);
+      w.u64(good.taxon_names().size());
+      for (const std::string& name : good.taxon_names()) w.str(name);
+      w.i64(f.root);
+      w.i64(f.outgroup);
+    }
+    std::istringstream is(os.str());
+    util::BinaryReader r(is);
+    return phylo::Tree::load(r);
+  };
+  EXPECT_EQ(load(base).to_newick(), good.to_newick());
+
+  const int inner = base.root;  // the one internal node of a 3-taxon tree
+  const int leaf = base.nodes[static_cast<std::size_t>(inner)].left;
+  const std::vector<std::pair<const char*, std::function<void(Fields&)>>>
+      corruptions = {
+          {"root", [](Fields& f) { f.root = 100000; }},
+          {"negative root", [](Fields& f) { f.root = -100000; }},
+          {"outgroup", [](Fields& f) { f.outgroup = 100000; }},
+          {"child", [&](Fields& f) {
+             f.nodes[static_cast<std::size_t>(inner)].left = 100000;
+           }},
+          {"parent", [&](Fields& f) {
+             f.nodes[static_cast<std::size_t>(leaf)].parent = 100000;
+           }},
+          {"taxon", [&](Fields& f) {
+             f.nodes[static_cast<std::size_t>(leaf)].taxon = 100000;
+           }},
+          {"negative taxon", [&](Fields& f) {
+             f.nodes[static_cast<std::size_t>(leaf)].taxon = -100000;
+           }},
+          {"short leaf_of", [](Fields& f) { f.leaf_of.pop_back(); }},
+      };
+  for (const auto& [what, corrupt] : corruptions) {
+    SCOPED_TRACE(what);
+    Fields f = base;
+    corrupt(f);
+    EXPECT_THROW(load(f), Error);
   }
 }
 

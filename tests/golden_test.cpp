@@ -56,11 +56,11 @@ struct DupHeavyInstance {
   phylo::PatternMatrix data;
 };
 
-DupHeavyInstance dup_heavy_instance() {
+DupHeavyInstance dup_heavy_instance(int bases = 40) {
   Rng rng(12003);
   auto tree = seqgen::yule_tree(6, rng, 1.0, 0.15);
   std::vector<std::vector<phylo::StateMask>> cols;
-  for (int base = 0; base < 40; ++base) {
+  for (int base = 0; base < bases; ++base) {
     std::vector<phylo::StateMask> col(6);
     for (auto& m : col) m = phylo::state_to_mask(rng.below(4));
     for (int rep = 0; rep < 3; ++rep) cols.push_back(col);  // 2/3 duplicates
@@ -91,23 +91,32 @@ TEST(GoldenTest, DupHeavyInstanceLikelihood) {
   }
 }
 
-// A library-default engine on the threaded backend runs a whole plan as ONE
-// pool region, whatever the data's duplicate structure; the root reduction
-// is the evaluation's only other region.
+// A library-default engine on the threaded backend runs a whole evaluation
+// — the plan, the scaler sums and the root reduction — as ONE pool region,
+// whatever the data's duplicate structure. The 120-pattern instance is too
+// small to repay a region (4 ops + the reduction over 120 sites is far below
+// the grain cutoff), so it runs inline on the caller and opens none.
 TEST(GoldenTest, DupHeavyFullPlanRunsAsOnePoolRegion) {
-  const DupHeavyInstance inst = dup_heavy_instance();
   const phylo::GtrParams params = seqgen::default_gtr_params();
-  par::ThreadPool pool(3);
-  core::ThreadedBackend threaded(pool);
-  core::PlfEngine e(inst.data, params, inst.tree, threaded);
-  e.log_likelihood();
+  for (const int bases : {40, 2000}) {
+    SCOPED_TRACE(::testing::Message() << bases << " distinct columns");
+    const DupHeavyInstance inst = dup_heavy_instance(bases);
+    par::ThreadPool pool(3);
+    core::ThreadedBackend threaded(pool);
+    core::PlfEngine e(inst.data, params, inst.tree, threaded);
+    e.log_likelihood();
 
-  e.set_model(params);  // dirties every internal node
-  pool.reset_stats();
-  e.log_likelihood();
-  EXPECT_EQ(e.last_plan().n_ops(), inst.tree.n_internal());
-  EXPECT_GT(e.last_plan().n_levels(), 1u);
-  EXPECT_EQ(pool.stats().regions, 2u);  // the plan + the root reduction
+    e.set_model(params);  // dirties every internal node
+    pool.reset_stats();
+    e.log_likelihood();
+    EXPECT_EQ(e.last_plan().n_ops(), inst.tree.n_internal());
+    EXPECT_GT(e.last_plan().n_levels(), 1u);
+    const std::size_t site_ops =
+        inst.data.n_patterns() * (inst.tree.n_internal() + 1);
+    const bool inline_side = bases == 40;
+    ASSERT_EQ(threaded.runs_inline(site_ops), inline_side);
+    EXPECT_EQ(pool.stats().regions, inline_side ? 0u : 1u);
+  }
 }
 
 TEST(GoldenTest, FixedSeedMcmcTrajectory) {

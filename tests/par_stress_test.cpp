@@ -43,6 +43,11 @@ namespace {
 
 constexpr std::size_t kThreads = 8;
 
+/// Alignment width of the engine cases below: wide enough that even a
+/// one-op evaluation is above ThreadedBackend's grain cutoff, so every
+/// evaluation opens a pool region (each case pins this with runs_inline).
+constexpr std::size_t kEngineColumns = 4000;
+
 TEST(ParStressTest, StaticScheduleCoversEveryIndexExactlyOnce) {
   ThreadPool pool(kThreads);
   const std::size_t n = 20'000;
@@ -145,10 +150,12 @@ TEST(ParStressTest, BarrierInsideParallelForRegions) {
 }
 
 TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
-  // ThreadedBackend::run_plan opens one parallel region per plan and
-  // records plan.* counters/timers into the GLOBAL registry from the calling
-  // thread, while 8 oversubscribed workers run each op's down/root and scale
-  // kernels back to back on their chunks. A concurrent flusher thread
+  // ThreadedBackend::run_evaluation opens one parallel region per
+  // evaluation and records plan.* counters/timers into the GLOBAL registry
+  // from the calling thread, while 8 oversubscribed workers run the scaler
+  // stages, each op's down/root and scale kernels back to back, and their
+  // share of the root reduction on their chunks, each writing only its own
+  // block's partial and stage-time slot. A concurrent flusher thread
   // snapshots that registry the whole time, and the engine publishes its
   // gauge stats between evaluations — the exact writer mix a live profiling
   // run produces. Under TSan this checks the region-boundary and
@@ -162,7 +169,10 @@ TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
   auto params = seqgen::default_gtr_params();
   phylo::SubstitutionModel model(params);
   seqgen::SequenceEvolver ev(tree, model);
-  auto data = phylo::PatternMatrix::compress(ev.evolve(600, rng));
+  auto data =
+      phylo::PatternMatrix::compress(ev.evolve(kEngineColumns, rng));
+  ASSERT_FALSE(threaded.runs_inline(2 * data.n_patterns()))
+      << data.n_patterns() << " patterns";
 
   core::PlfEngine plan(data, params, tree, threaded,
                        core::KernelVariant::kSimdCol);
@@ -206,6 +216,7 @@ TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
 
   EXPECT_GT(plan.stats().plan_builds, 0u);
   EXPECT_GT(plan.stats().plan_ops, plan.stats().plan_builds);
+  EXPECT_GT(pool.stats().regions, 0u);
 }
 
 TEST(ParStressTest, BudgetedArenaHammeredWhileMetricsFlusherReads) {
@@ -226,7 +237,10 @@ TEST(ParStressTest, BudgetedArenaHammeredWhileMetricsFlusherReads) {
   auto params = seqgen::default_gtr_params();
   phylo::SubstitutionModel model(params);
   seqgen::SequenceEvolver ev(tree, model);
-  auto data = phylo::PatternMatrix::compress(ev.evolve(600, rng));
+  auto data =
+      phylo::PatternMatrix::compress(ev.evolve(kEngineColumns, rng));
+  ASSERT_FALSE(threaded.runs_inline(2 * data.n_patterns()))
+      << data.n_patterns() << " patterns";
 
   core::PlfEngine budgeted(data, params, tree, threaded,
                            core::KernelVariant::kSimdCol,
@@ -279,6 +293,7 @@ TEST(ParStressTest, BudgetedArenaHammeredWhileMetricsFlusherReads) {
   EXPECT_GT(budgeted.arena().counters().evictions, 0u);
   EXPECT_EQ(full.arena().counters().evictions, 0u);
   EXPECT_GT(budgeted.arena().counters().hit_rate(), 0.0);
+  EXPECT_GT(pool.stats().regions, 0u);
 }
 
 TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
@@ -301,7 +316,10 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
   auto params = seqgen::default_gtr_params();
   phylo::SubstitutionModel model(params);
   seqgen::SequenceEvolver ev(tree, model);
-  auto data = phylo::PatternMatrix::compress(ev.evolve(600, rng));
+  auto data =
+      phylo::PatternMatrix::compress(ev.evolve(kEngineColumns, rng));
+  ASSERT_FALSE(threaded.runs_inline(2 * data.n_patterns()))
+      << data.n_patterns() << " patterns";
 
   core::PlfEngine plan(data, params, tree, threaded,
                        core::KernelVariant::kSimdCol);
@@ -349,6 +367,7 @@ TEST(ParStressTest, TipFusedKernelsHammeredWhileMetricsFlusherReads) {
   EXPECT_GT(plan.stats().tip_tt_ops, 0u);
   EXPECT_GT(plan.stats().tip_tables_built, 0u);
   EXPECT_EQ(percall.stats().tip_tt_ops, 0u);
+  EXPECT_GT(pool.stats().regions, 0u);
 }
 
 TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
@@ -369,7 +388,10 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
   auto params = seqgen::default_gtr_params();
   phylo::SubstitutionModel model(params);
   seqgen::SequenceEvolver ev(tree, model);
-  auto data = phylo::PatternMatrix::compress(ev.evolve(600, rng));
+  auto data =
+      phylo::PatternMatrix::compress(ev.evolve(kEngineColumns, rng));
+  ASSERT_FALSE(threaded.runs_inline(2 * data.n_patterns()))
+      << data.n_patterns() << " patterns";
 
   constexpr std::size_t kInstances = 4;
   std::vector<std::unique_ptr<core::PlfEngine>> engines;
@@ -436,6 +458,7 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
   const obs::Snapshot snap = obs::MetricsRegistry::global().snapshot();
   EXPECT_GT(snap.gauge_value("inst0.engine.down_calls"), 0.0);
   EXPECT_GT(snap.gauge_value("inst3.engine.down_calls"), 0.0);
+  EXPECT_GT(pool.stats().regions, 0u);
 }
 
 TEST(ParStressTest, NestedParallelForIsRejected) {

@@ -22,6 +22,10 @@
 #include "core/engine.hpp"
 #include "core/plan.hpp"
 #include "gpu/plf_gpu.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
+#include "obs/report.hpp"
+#include "par/thread_pool.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
@@ -171,13 +175,22 @@ struct Dataset {
   phylo::PatternMatrix data;
 };
 
-Dataset make_dataset(std::uint64_t seed, std::size_t n_taxa) {
+/// Column counts on either side of ThreadedBackend's grain cutoff for up to
+/// 10 taxa and 2-4 threads: every evaluation of a 100-column set runs
+/// inline, every one of a 4096-column set opens a region (the tests pin both
+/// with runs_inline, so a change to the cutoff that moves a set fails
+/// loudly). The default 180 columns straddle the cutoff.
+constexpr std::size_t kInlineColumns = 100;
+constexpr std::size_t kRegionColumns = 4096;
+
+Dataset make_dataset(std::uint64_t seed, std::size_t n_taxa,
+                     std::size_t columns = 180) {
   Rng rng(seed);
   Dataset d{seqgen::yule_tree(n_taxa, rng, 1.0, 0.1),
             seqgen::default_gtr_params(), {}};
   phylo::SubstitutionModel model(d.params);
   seqgen::SequenceEvolver ev(d.tree, model);
-  const phylo::Alignment aln = ev.evolve(180, rng);
+  const phylo::Alignment aln = ev.evolve(columns, rng);
   std::vector<std::vector<phylo::StateMask>> cols(aln.n_columns());
   for (std::size_t c = 0; c < aln.n_columns(); ++c) {
     cols[c].resize(aln.n_taxa());
@@ -224,13 +237,18 @@ struct BackendHolder {
 };
 
 /// Drive a per-call engine (core::PerCallBackend over the backend) and a plan
-/// engine (the backend's own run_plan) through the same randomized
+/// engine (the backend's own run_evaluation) through the same randomized
 /// move/accept/reject sequence and require bit-identical lnL at every
 /// evaluation. Branch-length moves leave the incremental scaler-total path
 /// live; NNIs and rejects force the full-resum fallback — both engines pass
 /// through the identical sequence of states, so every comparison is exact.
-void lockstep_storm(BackendKind kind, std::uint64_t seed) {
-  const Dataset d = make_dataset(seed, 10);
+/// On the threaded backend, kInlineColumns and kRegionColumns pin the side
+/// of the grain cutoff: the plan engine's evaluations all run inline, or
+/// each opens one region.
+void lockstep_storm(BackendKind kind, std::uint64_t seed,
+                    std::size_t columns) {
+  SCOPED_TRACE(::testing::Message() << "columns " << columns);
+  const Dataset d = make_dataset(seed, 10, columns);
   BackendHolder h_pc = BackendHolder::make(kind, /*per_call=*/true);
   BackendHolder h_plan = BackendHolder::make(kind);
   PlfEngine percall(d.data, d.params, d.tree, h_pc.executor(),
@@ -290,12 +308,30 @@ void lockstep_storm(BackendKind kind, std::uint64_t seed) {
                         plan.node_cl(plan.tree().root()),
                         d.data.n_patterns() * 4 * 4 * sizeof(float)),
             0);
+
+  if (kind == BackendKind::kThreaded) {
+    // Every evaluation of the storm has ops (a reject restores the cached
+    // likelihood), and the smallest has one op over m sites.
+    const auto& threaded =
+        static_cast<const ThreadedBackend&>(*h_plan.backend);
+    const std::size_t m = d.data.n_patterns();
+    if (columns == kInlineColumns) {
+      ASSERT_TRUE(threaded.runs_inline(m * (d.tree.n_internal() + 1)));
+      EXPECT_EQ(h_plan.pool->stats().regions, 0u);
+    } else if (columns == kRegionColumns) {
+      ASSERT_FALSE(threaded.runs_inline(2 * m));
+      EXPECT_EQ(h_plan.pool->stats().regions, plan.stats().plan_builds);
+    }
+  }
 }
 
 class PlanLockstepTest : public ::testing::TestWithParam<BackendKind> {};
 
 TEST_P(PlanLockstepTest, PerCallAndPlanBitIdenticalThroughProposalStorm) {
-  lockstep_storm(GetParam(), 41);
+  for (const std::size_t columns : {kInlineColumns, std::size_t{180},
+                                    kRegionColumns}) {
+    lockstep_storm(GetParam(), 41, columns);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -553,6 +589,175 @@ TEST(PlanArenaTest, RematerializationRidesTheDirtyPlanNotASecondPass) {
   EXPECT_EQ(e.stats().plan_builds, builds_before + 1);
   EXPECT_GT(e.stats().plan_ops - ops_before, path_ops);
 }
+
+// A tail-only evaluation (a p-invariant move) still reduces over the root's
+// CLV, so an evicted root is rebuilt first, bit-identical to the unbudgeted
+// twin.
+TEST(PlanArenaTest, TailOnlyEvaluationRematerializesAnEvictedRoot) {
+  Dataset d = make_dataset(91, 10);
+  d.params.p_invariant = 0.2;
+  SerialBackend backend;
+  PlfEngine budgeted(d.data, d.params, d.tree, backend,
+                     KernelVariant::kSimdCol, clv_budget_from_string("0.5"));
+  PlfEngine full(d.data, d.params, d.tree, backend, KernelVariant::kSimdCol);
+  EXPECT_EQ(budgeted.log_likelihood(), full.log_likelihood());
+
+  const int root = budgeted.tree().root();
+  budgeted.evict_node_for_test(root);
+  ASSERT_FALSE(budgeted.node_resident(root));
+  phylo::GtrParams p = d.params;
+  p.p_invariant = 0.3;
+  for (PlfEngine* e : {&budgeted, &full}) e->set_model(p);
+  EXPECT_EQ(budgeted.log_likelihood(), full.log_likelihood());
+  EXPECT_EQ(full.last_plan().n_ops(), 0u);
+  EXPECT_GE(budgeted.last_plan().level_of_node(root), 0);
+  EXPECT_TRUE(budgeted.node_resident(root));
+}
+
+// --- layer 4: one region per evaluation, sized to the data -----------------
+
+/// Everything the region/report tests below evaluate: a first full
+/// evaluation, a leaf-branch move, a p-invariant move (a tail-only
+/// evaluation: no op, just the scaler stages and the root reduction), and an
+/// NNI. `each` runs after every evaluation with the pool's region count for
+/// it.
+template <class Each>
+void drive_evaluations(PlfEngine& e, par::ThreadPool& pool, Each each) {
+  const auto eval = [&] {
+    pool.reset_stats();
+    e.log_likelihood();
+    each(pool.stats().regions);
+  };
+  eval();
+  e.set_branch_length(e.tree().leaf_of(2), 0.3);
+  eval();
+  phylo::GtrParams p = e.model_params();
+  p.p_invariant = 0.35;
+  e.set_model(p);
+  eval();
+  EXPECT_EQ(e.last_plan().n_ops(), 0u);  // the tail-only evaluation
+  e.apply_nni(e.tree().internal_edge_nodes().front(), true);
+  eval();
+}
+
+Dataset pinv_dataset(std::size_t columns) {
+  Dataset d = make_dataset(97, 8, columns);
+  d.params.p_invariant = 0.2;
+  return d;
+}
+
+// A threaded evaluation opens exactly one pool region above the grain cutoff
+// — the plan's ops, the scaler sums and the root reduction together, a
+// tail-only evaluation included — and none below it, where the calling
+// thread walks the same static blocks itself.
+TEST(EvaluationRegionTest, OneRegionAboveCutoffNoneBelow) {
+  // Above the cutoff, even the tail-only evaluation (1 x m site-ops) opens a
+  // region on a 2-thread pool.
+  for (const std::size_t columns : {kInlineColumns, kRegionColumns}) {
+    SCOPED_TRACE(::testing::Message() << "columns " << columns);
+    const Dataset d = pinv_dataset(columns);
+    par::ThreadPool pool(2);
+    ThreadedBackend threaded(pool);
+    PlfEngine e(d.data, d.params, d.tree, threaded);
+    const std::size_t m = d.data.n_patterns();
+    const bool inline_side = columns == kInlineColumns;
+    int evaluations = 0;
+    drive_evaluations(e, pool, [&](std::uint64_t regions) {
+      const std::size_t site_ops = m * (e.last_plan().n_ops() + 1);
+      EXPECT_EQ(threaded.runs_inline(site_ops), inline_side);
+      EXPECT_EQ(regions, inline_side ? 0u : 1u);
+      ++evaluations;
+    });
+    EXPECT_EQ(evaluations, 4);
+  }
+}
+
+// A p-invariant move changes only the root reduction's +I mixture, so it
+// recomputes nothing — yet its likelihood, and every one after it, is the
+// same to the bit as recomputing the whole tree for it.
+TEST(EvaluationRegionTest, PinvMoveIsTailOnlyAndBitIdenticalToFullRecompute) {
+  const Dataset d = pinv_dataset(kRegionColumns);
+  par::ThreadPool pool(2);
+  ThreadedBackend threaded(pool);
+  PlfEngine tail_only(d.data, d.params, d.tree, threaded);
+  PlfEngine full(d.data, d.params, d.tree, threaded);
+  EXPECT_EQ(tail_only.log_likelihood(), full.log_likelihood());
+  for (const double pinv : {0.3, 0.05, 0.3}) {
+    phylo::GtrParams p = d.params;
+    p.p_invariant = pinv;
+    tail_only.set_model(p);
+    full.set_model(p);
+    full.set_model(p);  // no p-invariant change: dirties every node
+    const std::uint64_t builds = tail_only.stats().plan_builds;
+    EXPECT_EQ(tail_only.log_likelihood(), full.log_likelihood());
+    EXPECT_EQ(tail_only.stats().plan_builds, builds);
+    EXPECT_EQ(full.last_plan().n_ops(), d.tree.n_internal());
+    // A later incremental evaluation stays locked too.
+    for (PlfEngine* e : {&tail_only, &full}) {
+      e->set_branch_length(e->tree().leaf_of(1), 0.1 + pinv);
+    }
+    EXPECT_EQ(tail_only.log_likelihood(), full.log_likelihood());
+  }
+  // The reject path restores the old p-invariant and its likelihood.
+  const double before = tail_only.log_likelihood();
+  tail_only.begin_proposal();
+  phylo::GtrParams p = tail_only.model_params();
+  p.p_invariant = 0.4;
+  tail_only.set_model(p);
+  EXPECT_NE(tail_only.log_likelihood(), before);
+  tail_only.reject();
+  EXPECT_EQ(tail_only.log_likelihood(), before);
+  EXPECT_EQ(tail_only.model_params().p_invariant, 0.3);
+}
+
+#if defined(PLF_PROFILING_ENABLED)
+// The Fig. 12 report under ThreadedBackend: the fused evaluation still fills
+// the RootReduce row and the scaler-sum timer, and the grain rule's decision
+// is visible as plan.inline_evals; plan.regions_saved counts what per-call
+// dispatch (2 regions per op + 1 for the reduction) would have opened
+// beyond the evaluation's own 0 or 1.
+TEST(EvaluationRegionTest, ReportShowsTailRowsAndInlineCounter) {
+  for (const std::size_t columns : {kInlineColumns, kRegionColumns}) {
+    SCOPED_TRACE(::testing::Message() << "columns " << columns);
+    const Dataset d = pinv_dataset(columns);
+    par::ThreadPool pool(2);
+    ThreadedBackend threaded(pool);
+    PlfEngine e(d.data, d.params, d.tree, threaded);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+    reg.reset();
+    std::uint64_t evaluations = 0;
+    std::uint64_t saved = 0;
+    drive_evaluations(e, pool, [&](std::uint64_t regions) {
+      ++evaluations;
+      saved += 2 * e.last_plan().n_ops() + 1 - regions;
+    });
+    const obs::Snapshot snap = reg.snapshot();
+    const bool inline_side = columns == kInlineColumns;
+    EXPECT_EQ(snap.counter_value(obs::kCounterPlanInlineEvals),
+              inline_side ? evaluations : 0u);
+    EXPECT_EQ(snap.counter_value(obs::kCounterPlanRegionsSaved), saved);
+
+    const obs::Breakdown b = obs::build_breakdown(snap, 1.0, threaded.name());
+    const auto row = [&](const char* name) {
+      for (const obs::KernelShare& k : b.kernels) {
+        if (k.name == name) return k;
+      }
+      return obs::KernelShare{};
+    };
+    EXPECT_EQ(row("RootReduce").calls, evaluations);
+    EXPECT_GT(row("RootReduce").seconds, 0.0);
+    EXPECT_EQ(row("PlanLevel(fused)").calls, evaluations - 1);  // 1 tail-only
+    const obs::Snapshot::Timer* scalers =
+        snap.find_timer(obs::kTimerScalerSum);
+    ASSERT_NE(scalers, nullptr);
+    EXPECT_EQ(scalers->stats.count(), evaluations);
+    EXPECT_GT(b.engine_serial_s, 0.0);
+    const std::string text = obs::format_breakdown(b);
+    EXPECT_NE(text.find(obs::kTimerScalerSum), std::string::npos);
+    EXPECT_NE(text.find(obs::kTimerRootReduce), std::string::npos);
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace plf::core
