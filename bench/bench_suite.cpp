@@ -1,11 +1,14 @@
 // Unified bench suite: one binary that runs the whole perf matrix and emits
 // the schema-versioned BENCH_<date>.json the regression gate consumes.
 //
-// Two families of cases:
+// The case families:
 //
 //   kernel.<op>.<variant>       raw per-call kernel time at the paper's
 //                               8,543-pattern width, for scalar / simd-row /
 //                               simd-col (the approach (i)/(ii) distinction)
+//   par.region_overhead.t<N>    seconds per empty parallel region on an
+//                               N-thread pool: the fork/join constant behind
+//                               the threaded backend's grain rule
 //   engine.<backend>.<dispatch>.sr-off
 //                               seconds per likelihood evaluation under a
 //                               branch-move loop, over {serial,threaded} ×
@@ -97,7 +100,7 @@ struct CaseStat {
 };
 
 // ---------------------------------------------------------------------------
-// kernel cases (operand fixture mirrors bench_kernels.cpp)
+// kernel cases
 
 struct Operands {
   std::size_t m, K;
@@ -257,6 +260,35 @@ CaseStat tip_kernel_case(const std::string& case_name, std::uint64_t iters,
     cs.values.push_back((t1 - t0) / static_cast<double>(iters));
   }
   g_bench_sink = sink;
+  return cs;
+}
+
+// ---------------------------------------------------------------------------
+// parallel-region cases
+
+/// One empty parallel region on a `threads`-thread pool (the caller plus
+/// threads - 1 workers): the spawn/sync cost the paper blames for its
+/// multi-core scaling loss, which ThreadedBackend's grain rule
+/// (kRegionCostSiteOps in core/backend.cpp) weighs against per-site work.
+CaseStat region_overhead_case(std::size_t threads, std::uint64_t iters,
+                              int reps) {
+  CaseStat cs;
+  cs.name = "par.region_overhead.t" + std::to_string(threads);
+  cs.unit = "s/region";
+  cs.iters = iters;
+  // Wake-up latency depends on the scheduler more than on this code.
+  cs.threshold = 0.40;
+  par::ThreadPool pool(threads);
+  const auto empty = [](par::Range, std::size_t) {};
+  pool.parallel_for(0, threads, empty);  // warm-up: workers parked once
+  for (int rep = 0; rep < reps; ++rep) {
+    const double t0 = now_s();
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      pool.parallel_for(0, threads, empty);
+    }
+    const double t1 = now_s();
+    cs.values.push_back((t1 - t0) / static_cast<double>(iters));
+  }
   return cs;
 }
 
@@ -570,6 +602,13 @@ int main(int argc, char** argv) {
     cases.push_back(tip_kernel_case(c, kernel_iters, reps));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
               << " us/call (min of " << reps << ")\n";
+  }
+
+  const std::uint64_t region_iters = quick ? 200 : 2000;
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    cases.push_back(region_overhead_case(threads, region_iters, reps));
+    std::cerr << cases.back().name << ": " << cases.back().min() * 1e6
+              << " us/region (min of " << reps << ")\n";
   }
 
   Rng rng(2025);

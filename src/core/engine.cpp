@@ -7,6 +7,7 @@
 #include "numerics/ulp.hpp"
 #include "obs/names.hpp"
 #include "obs/profile.hpp"
+#include "simd/simd.hpp"
 #include "util/clock.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -623,6 +624,12 @@ void PlfEngine::evaluate() {
   // 3. The per-site tail around the ops: scaler-total bookkeeping and the
   // root reduction.
   build_tail();
+  // build_tail's pi conversion can compile to a VEX.256 instruction that
+  // gcc's vzeroupper insertion misses, leaving the upper register state
+  // dirty into the root reduction's scalar std::log calls (gcc 12 -O2
+  // -march=native on an AVX-512 Xeon: each 138-pattern reduction ran ~10x
+  // slower). Clear it once here, at the hand-off.
+  simd::clear_upper_vector_state();
 
   // 4. Execute the whole evaluation in one backend call, then apply the
   // deferred flips.
@@ -789,16 +796,21 @@ void PlfEngine::save_state(util::BinaryWriter& w) const {
   w.u64(p.n_rate_categories);
   w.f64(p.p_invariant);
 
-  // Internal nodes, in id order: the active buffer index, the active scaler
-  // row (its exact f32 bits — scaler_total_ was accumulated from them), and
-  // the active CLV when it is arena-resident. Evicted CLVs are omitted on
-  // purpose: the recompute closure rematerializes them bit-exactly from the
-  // tips, which is the same guarantee the budgeted arena already relies on.
+  // Internal nodes, in id order: the active buffer index, the dirty flag,
+  // the active scaler row (its exact f32 bits — scaler_total_ was
+  // accumulated from them), and the active CLV when it is arena-resident.
+  // Evicted CLVs are omitted on purpose: the recompute closure
+  // rematerializes them bit-exactly from the tips, which is the same
+  // guarantee the budgeted arena already relies on. The dirty flag matters
+  // for a checkpoint taken after an unevaluated change: the node's active
+  // CLV is stale, and the restored engine must recompute it just as the
+  // uninterrupted one would.
   w.section("NODE");
   for (std::size_t id = 0; id < tree_.n_nodes(); ++id) {
     if (tree_.node(static_cast<int>(id)).is_leaf()) continue;
     const NodeState& st = nodes_[id];
     w.u8(static_cast<std::uint8_t>(st.active));
+    w.u8(st.dirty ? 1 : 0);
     w.f32_array(st.scaler[static_cast<std::size_t>(st.active)].data(), m_);
     const int slot = clv_slot(static_cast<int>(id), st.active);
     const bool resident = arena_.resident(slot);
@@ -881,12 +893,15 @@ void PlfEngine::restore_state(util::BinaryReader& r) {
     const std::uint8_t active = r.u8();
     PLF_CHECK(active <= 1, "restore_state: corrupt buffer index");
     st.active = active;
+    const std::uint8_t dirty = r.u8();
+    PLF_CHECK(dirty <= 1, "restore_state: corrupt dirty flag");
+    st.dirty = dirty != 0;
+    st.dirty_epoch = 0;
     const std::vector<float> scaler = r.f32_array();
     PLF_CHECK(scaler.size() == m_, "restore_state: scaler row size mismatch");
     st.scaler[static_cast<std::size_t>(st.active)].assign(scaler.begin(),
                                                           scaler.end());
     st.scaler[static_cast<std::size_t>(st.active ^ 1)].assign(m_, 0.0f);
-    st.dirty = false;
     st.flip_epoch = 0;
     st.pair_stamp_l = 0;  // pair tables revalidate against the new tp stamps
     st.pair_stamp_r = 0;

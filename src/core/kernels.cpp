@@ -8,7 +8,6 @@ namespace detail {
 extern const KernelSet kScalarKernels;
 extern const KernelSet kSimdRowKernels;
 extern const KernelSet kSimdColKernels;
-extern const KernelSet kSimdCol8Kernels;
 }  // namespace detail
 
 std::string to_string(KernelVariant v) {
@@ -16,7 +15,6 @@ std::string to_string(KernelVariant v) {
     case KernelVariant::kScalar: return "scalar";
     case KernelVariant::kSimdRow: return "simd-row (approach i)";
     case KernelVariant::kSimdCol: return "simd-col (approach ii)";
-    case KernelVariant::kSimdCol8: return "simd-col8 (2-category)";
   }
   return "?";
 }
@@ -26,7 +24,6 @@ const KernelSet& kernels(KernelVariant v) {
     case KernelVariant::kScalar: return detail::kScalarKernels;
     case KernelVariant::kSimdRow: return detail::kSimdRowKernels;
     case KernelVariant::kSimdCol: return detail::kSimdColKernels;
-    case KernelVariant::kSimdCol8: return detail::kSimdCol8Kernels;
   }
   throw Error("unknown kernel variant");
 }

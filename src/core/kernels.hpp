@@ -29,8 +29,9 @@
 //             matrix-vector multiply (column-wise access via the transposed
 //             matrix, no horizontal reduction) — the layout the paper found
 //             2x faster on the SPU and adopted
-//   kSimdCol8 modern extension: approach (ii) widened to 8 lanes (two rate
-//             categories per register, AVX2 when available)
+//
+// These are the only two SIMD layouts the paper compares; the scalar set is
+// the reference the 0-ULP conformance tests check both against.
 #pragma once
 
 #include <cmath>
@@ -139,7 +140,7 @@ using RootReduceFn = double (*)(const RootReduceArgs&, std::size_t begin,
                                 std::size_t end);
 using DownTipTipFn = void (*)(const TipTipArgs&, std::size_t begin,
                               std::size_t end);
-enum class KernelVariant { kScalar, kSimdRow, kSimdCol, kSimdCol8 };
+enum class KernelVariant { kScalar, kSimdRow, kSimdCol };
 
 std::string to_string(KernelVariant v);
 

@@ -10,8 +10,8 @@
 // records one OnlineStats timer sample per scope exit — and, when tracing is
 // enabled on the global registry, one chrome://tracing span. With
 // -DPLF_PROFILING=OFF the macros expand to nothing: kernels compile exactly
-// as before, which is the "zero overhead when disabled" guarantee
-// bench_kernels relies on.
+// as before, which is the "zero overhead when disabled" guarantee the
+// kernel.* cases of bench_suite rely on.
 #pragma once
 
 #include <cstdint>

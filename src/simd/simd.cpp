@@ -3,12 +3,10 @@
 namespace plf::simd {
 
 std::string backend_name() {
-#if defined(PLF_SIMD_AVX) && defined(__FMA__)
-  return "avx+fma";
-#elif defined(PLF_SIMD_AVX)
-  return "avx";
+#if defined(PLF_SIMD_SSE) && defined(__FMA__)
+  return "sse+fma";
 #elif defined(PLF_SIMD_SSE)
-  return "sse2";
+  return "sse";
 #else
   return "scalar";
 #endif

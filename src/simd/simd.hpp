@@ -1,32 +1,24 @@
-// Backend identification for the SIMD layer.
+// SIMD layer entry points: the name of the compiled-in ISA and the AVX
+// upper-state reset.
 #pragma once
 
 #include <string>
 
 #include "simd/vec4f.hpp"
-#include "simd/vec8f.hpp"
 
 namespace plf::simd {
 
-/// Human-readable name of the compiled-in backend ("avx2+fma", "sse2",
-/// "scalar", ...). Decided at compile time.
+/// Human-readable name of the ISA Vec4f compiles to ("sse+fma", "sse" or
+/// "scalar"). Decided at compile time.
 std::string backend_name();
 
-/// True when 4-wide operations map to hardware SIMD instructions.
-constexpr bool has_hardware_vec4() {
-#if defined(PLF_SIMD_SSE)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// True when 8-wide operations map to a single hardware register.
-constexpr bool has_hardware_vec8() {
-#if defined(PLF_SIMD_AVX)
-  return true;
-#else
-  return false;
+/// Clears the upper halves of the 256-bit registers (vzeroupper) on AVX
+/// builds. Scalar libm code such as std::log pays an SSE/AVX transition
+/// penalty on every call while that state is dirty, and gcc does not clear
+/// it after every VEX.256 instruction it emits (see PlfEngine::evaluate).
+inline void clear_upper_vector_state() {
+#if defined(__AVX__)
+  _mm256_zeroupper();
 #endif
 }
 

@@ -385,8 +385,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(BackendKind::kSerial, BackendKind::kThreaded,
                           BackendKind::kCell, BackendKind::kGpu),
-        ::testing::Values(KernelVariant::kScalar, KernelVariant::kSimdCol,
-                          KernelVariant::kSimdCol8)),
+        ::testing::ValuesIn(test::kAllKernelVariants)),
     [](const ::testing::TestParamInfo<Param>& info) {
       std::string v = to_string(std::get<1>(info.param));
       for (auto& c : v) {

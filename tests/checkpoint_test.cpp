@@ -205,6 +205,48 @@ TEST(CheckpointTest, RestoredEngineEvaluatesCheckpointedLikelihood) {
   EXPECT_EQ(b.log_likelihood(), at_checkpoint);
 }
 
+TEST(CheckpointTest, UnevaluatedChangeResumesBitExact) {
+  // A checkpoint taken after a change the engine has not evaluated yet: the
+  // nodes above the changed branch hold stale CLVs, so the restored twin
+  // must recompute them and land on the original's bits, not on the
+  // likelihood of the pre-change CLVs.
+  par::ThreadPool pool(2);
+  core::ThreadedBackend threaded(pool);
+  core::SerialBackend serial;
+  const Instance inst = make_instance(8, 200, 92);
+  for (const Combo& c : kCombos) {
+    SCOPED_TRACE(c.name);
+    core::ExecutionBackend& inner =
+        c.threaded ? static_cast<core::ExecutionBackend&>(threaded) : serial;
+    core::PerCallBackend per_call(inner);
+    core::ExecutionBackend& backend =
+        c.per_call ? static_cast<core::ExecutionBackend&>(per_call) : inner;
+    const core::ClvBudget budget =
+        c.budget == nullptr ? core::ClvBudget{}
+                            : core::clv_budget_from_string(c.budget);
+    core::PlfEngine a(inst.data, inst.params, inst.tree, backend,
+                      core::KernelVariant::kSimdCol, budget);
+    const double before = a.log_likelihood();
+    a.set_branch_length(a.tree().leaf_of(0), 0.9);
+
+    std::ostringstream os;
+    {
+      util::BinaryWriter w(os);
+      a.save_state(w);
+    }
+    core::PlfEngine b(inst.data, inst.params, inst.tree, backend,
+                      core::KernelVariant::kSimdCol, budget);
+    std::istringstream is(os.str());
+    {
+      util::BinaryReader r(is);
+      b.restore_state(r);
+    }
+    const double after = a.log_likelihood();
+    ASSERT_NE(after, before);
+    EXPECT_EQ(b.log_likelihood(), after);
+  }
+}
+
 TEST(CheckpointTest, RestoreRejectsMismatchedShape) {
   core::SerialBackend backend;
   const Instance small = make_instance(6, 100, 93);

@@ -18,6 +18,7 @@
 #include "core/kernels.hpp"
 #include "core/plan.hpp"
 #include "obs/flight.hpp"
+#include "test_support.hpp"
 #include "util/aligned.hpp"
 #include "util/contracts.hpp"
 
@@ -191,8 +192,7 @@ struct DownFixture {
 
 TEST(KernelContractTest, ValidArgumentsRunOnEveryVariant) {
   DownFixture f;
-  for (auto v : {KernelVariant::kScalar, KernelVariant::kSimdRow,
-                 KernelVariant::kSimdCol, KernelVariant::kSimdCol8}) {
+  for (auto v : test::kAllKernelVariants) {
     DownArgs a = f.args();
     core::kernels(v).down(a, 0, DownFixture::kPatterns);
     for (float x : f.out) EXPECT_GT(x, 0.0f);

@@ -89,8 +89,7 @@ TEST(InvariantSitesTest, AllVariantsAndBackendsAgree) {
                 KernelVariant::kScalar);
   const double expect = ref.log_likelihood();
 
-  for (auto v : {KernelVariant::kSimdRow, KernelVariant::kSimdCol,
-                 KernelVariant::kSimdCol8}) {
+  for (auto v : test::kAllKernelVariants) {
     SerialBackend b;
     PlfEngine e(inst.data, inst.params, inst.tree, b, v);
     EXPECT_NEAR(e.log_likelihood(), expect, std::abs(expect) * 1e-5);

@@ -118,8 +118,7 @@ TEST_P(DownKernelTest, RangeSplitEqualsWholeRange) {
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, DownKernelTest,
     ::testing::Combine(
-        ::testing::Values(KernelVariant::kSimdRow, KernelVariant::kSimdCol,
-                          KernelVariant::kSimdCol8),
+        ::testing::ValuesIn(test::kAllKernelVariants),
         ::testing::Values(1u, 2u, 3u, 4u, 5u, 8u),
         ::testing::Values(1u, 7u, 64u, 193u),
         ::testing::Bool(), ::testing::Bool()),
@@ -160,8 +159,7 @@ TEST_P(RootKernelTest, MatchesScalarReference) {
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, RootKernelTest,
     ::testing::Combine(
-        ::testing::Values(KernelVariant::kSimdRow, KernelVariant::kSimdCol,
-                          KernelVariant::kSimdCol8),
+        ::testing::ValuesIn(test::kAllKernelVariants),
         ::testing::Values(1u, 4u, 5u), ::testing::Bool(), ::testing::Bool()),
     [](const ::testing::TestParamInfo<RootParam>& info) {
       std::string name = to_string(std::get<0>(info.param));
@@ -220,10 +218,7 @@ TEST_P(ScaleKernelTest, AllZeroSiteLeftIntact) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, ScaleKernelTest,
-    ::testing::Combine(::testing::Values(KernelVariant::kScalar,
-                                         KernelVariant::kSimdRow,
-                                         KernelVariant::kSimdCol,
-                                         KernelVariant::kSimdCol8),
+    ::testing::Combine(::testing::ValuesIn(test::kAllKernelVariants),
                        ::testing::Values(1u, 3u, 4u, 8u)));
 
 TEST(RootReduceTest, VariantsAgreeWithScalar) {
@@ -245,8 +240,7 @@ TEST(RootReduceTest, VariantsAgreeWithScalar) {
   for (int i = 0; i < 4; ++i) args.pi[i] = pis[i];
 
   const double ref = kernels(KernelVariant::kScalar).root_reduce(args, 0, m);
-  for (auto v : {KernelVariant::kSimdRow, KernelVariant::kSimdCol,
-                 KernelVariant::kSimdCol8}) {
+  for (auto v : test::kAllKernelVariants) {
     const double got = kernels(v).root_reduce(args, 0, m);
     EXPECT_NEAR(got, ref, std::abs(ref) * 1e-5);
   }
@@ -321,12 +315,22 @@ TEST(TipPartialTest, GapMaskGivesRowSumsNearOne) {
 
 TEST(KernelMetaTest, VariantNamesDistinct) {
   std::set<std::string> names;
-  for (auto v : {KernelVariant::kScalar, KernelVariant::kSimdRow,
-                 KernelVariant::kSimdCol, KernelVariant::kSimdCol8}) {
-    names.insert(to_string(v));
-    EXPECT_EQ(kernels(v).variant, v);
+  for (auto v : test::kAllKernelVariants) names.insert(to_string(v));
+  EXPECT_EQ(names.size(), test::kAllKernelVariants.size());
+}
+
+TEST(KernelMetaTest, EveryListedVariantHasACompleteSet) {
+  for (auto v : test::kAllKernelVariants) {
+    SCOPED_TRACE(to_string(v));
+    const KernelSet& ks = kernels(v);
+    EXPECT_EQ(ks.variant, v);
+    EXPECT_NE(ks.down, nullptr);
+    EXPECT_NE(ks.root, nullptr);
+    EXPECT_NE(ks.scale, nullptr);
+    EXPECT_NE(ks.root_reduce, nullptr);
+    EXPECT_NE(ks.down_ti, nullptr);
+    EXPECT_NE(ks.down_tt, nullptr);
   }
-  EXPECT_EQ(names.size(), 4u);
 }
 
 TEST(KernelMetaTest, FlopCountPositiveAndLinearInK) {

@@ -2,10 +2,12 @@
 // structure and an independent double-precision reference likelihood.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <vector>
 
+#include "core/kernels.hpp"
 #include "phylo/dna.hpp"
 #include "phylo/model.hpp"
 #include "phylo/patterns.hpp"
@@ -14,6 +16,12 @@
 #include "util/rng.hpp"
 
 namespace plf::test {
+
+/// The kernel roster: every KernelVariant, the scalar reference first.
+/// Variant loops and parameterized suites all iterate this one list.
+inline constexpr std::array<core::KernelVariant, 3> kAllKernelVariants{
+    core::KernelVariant::kScalar, core::KernelVariant::kSimdRow,
+    core::KernelVariant::kSimdCol};
 
 inline aligned_vector<float> random_cl(std::size_t m, std::size_t K, Rng& rng,
                                        float lo = 0.05f, float hi = 1.0f) {

@@ -4,7 +4,7 @@
 // the executors run it — the op's down/root kernel then `scale`, back to back
 // on each site chunk — against generic down/root then `scale` over the whole
 // span. Cases cover all kernel variants, all 15×15 valid ambiguity-mask
-// pairs, K ∈ {1, 4}, branch-length extremes, and the whole site range, an
+// pairs, K ∈ {1, 4, 5}, branch-length extremes, and the whole site range, an
 // unaligned window of it, or uneven chunks of it. Comparisons are memcmp
 // (0 ULP), because the backends substitute these entries freely and the
 // engine's A/B guarantees (per-call vs plan dispatch) demand bit identity,
@@ -367,9 +367,10 @@ TEST_P(TipKernelConformanceTest, TipTipRangeSplitEqualsWholeRange) {
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, TipKernelConformanceTest,
     ::testing::Combine(
-        ::testing::Values(KernelVariant::kScalar, KernelVariant::kSimdRow,
-                          KernelVariant::kSimdCol, KernelVariant::kSimdCol8),
-        ::testing::Values(1u, 4u),
+        ::testing::ValuesIn(test::kAllKernelVariants),
+        // Category counts: one, the usual four, and an odd count above four
+        // (the same set RootKernelTest sweeps).
+        ::testing::Values(1u, 4u, 5u),
         // Branch-length scale factors: near-zero branches (transition matrix
         // ~identity, tip rows hit the 0/1 extremes), typical, and
         // near-saturation (rows flatten toward the stationary distribution).
