@@ -36,7 +36,7 @@ int main() {
     const double t_plain = plain_model.plf_section_s(w, 16);
     const double t_buf = buffered_model.plf_section_s(w, 16);
     t.row({std::to_string(m), Table::num(t_plain, 3), Table::num(t_buf, 3),
-           "+" + Table::num(100.0 * (t_plain / t_buf - 1.0), 1) + "%"});
+           bench::gain_percent(t_plain / t_buf)});
   }
   std::cout << t << "\n";
   std::cout << "Double buffering hides the per-chunk DMA latency behind the\n"

@@ -41,7 +41,7 @@ int main() {
     const double total_speedup = (plf_row + serial) / (plf_col + serial);
     t.row({std::to_string(m), Table::num(plf_row, 3), Table::num(plf_col, 3),
            Table::num(plf_speedup, 2) + "x",
-           "+" + Table::num(100.0 * (total_speedup - 1.0), 1) + "%"});
+           bench::gain_percent(total_speedup)});
   }
   std::cout << t << "\n";
   std::cout << "paper: column-wise layout gave 2x PLF speedup and +34% total\n"

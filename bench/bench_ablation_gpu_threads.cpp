@@ -42,7 +42,7 @@ int main() {
                                  (ent.kernel_s + ent.pcie_s + serial);
     t.row({std::to_string(m), Table::num(red.kernel_s, 3),
            Table::num(ent.kernel_s, 3), Table::num(plf_speedup, 2) + "x",
-           "+" + Table::num(100.0 * (total_speedup - 1.0), 1) + "%"});
+           bench::gain_percent(total_speedup)});
   }
   std::cout << t << "\n";
   std::cout

@@ -368,7 +368,11 @@ int run_main(int argc, char** argv) {
 
   if (!profile_path.empty() || !metrics_path.empty()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    mc3.engine(mc3.cold_index()).publish_stats(reg);
+    // Every chain's engine.* gauges (labelled chain<i> when there are
+    // several): together they are the run's whole plan work.
+    for (std::size_t i = 0; i < mc3.n_chains(); ++i) {
+      mc3.engine(i).publish_stats(reg);
+    }
     const obs::Snapshot snap = reg.snapshot();
     if (!profile_path.empty()) {
       const obs::Breakdown b =

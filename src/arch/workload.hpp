@@ -5,7 +5,7 @@
 // loops ("data size scaling"), while the number of PLF invocations — driven
 // by the taxon count through the tree size — sets the call frequency
 // ("computation intensity scaling"). Counts are either measured from a real
-// McmcChain run (mcmc::workload_from_stats) or derived analytically here.
+// McmcChain run (mcmc::workload_from_run) or derived analytically here.
 #pragma once
 
 #include <cstddef>

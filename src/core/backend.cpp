@@ -173,15 +173,12 @@ void ThreadedBackend::run_scale(const KernelSet& ks, const ScaleArgs& a,
 double ThreadedBackend::run_root_reduce(const KernelSet& ks,
                                         const RootReduceArgs& a,
                                         std::size_t m) {
-  // Deterministic for a fixed thread count: static partitioning with the
-  // partial sums combined in thread order.
+  // Deterministic for a fixed thread count: one partial per static block,
+  // combined in block order.
   std::vector<double> partial(pool_.size(), 0.0);
-  pool_.parallel_for(
-      0, m,
-      [&](par::Range r, std::size_t tid) {
-        partial[tid] = ks.root_reduce(a, r.begin, r.end);
-      },
-      par::Schedule::kStatic);
+  pool_.parallel_for(0, m, [&](par::Range r, std::size_t block) {
+    partial[block] = ks.root_reduce(a, r.begin, r.end);
+  });
   double sum = 0.0;
   for (double p : partial) sum += p;
   return sum;
@@ -200,8 +197,6 @@ void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   // dispatch for any chunk partition.
   const std::vector<PlfOp>& ops = plan.ops();
   if (ops.empty()) return;
-  PLF_PROF_COUNT(obs::kCounterPlanLevels, plan.n_levels());
-  PLF_PROF_COUNT(obs::kCounterPlanOps, ops.size());
   PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, 2 * ops.size() - 1);
   PLF_PROF_SCOPE(obs::kTimerPlanLevel);
   pool_.parallel_for(0, plan.m(), [&](par::Range r, std::size_t) {
@@ -296,10 +291,6 @@ double ThreadedBackend::run_evaluation(const KernelSet& ks,
 
   // Per-call dispatch would open 2 regions per op plus 1 for the reduction.
   const std::size_t percall_regions = 2 * ops.size() + 1;
-  if (!ops.empty()) {
-    PLF_PROF_COUNT(obs::kCounterPlanLevels, plan.n_levels());
-    PLF_PROF_COUNT(obs::kCounterPlanOps, ops.size());
-  }
   const std::uint64_t start = stage_clock();
   if (runs_inline(m * (ops.size() + 1))) {
     PLF_PROF_COUNT(obs::kCounterPlanInlineEvals, 1);
@@ -310,7 +301,7 @@ double ThreadedBackend::run_evaluation(const KernelSet& ks,
     }
   } else {
     PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, percall_regions - 1);
-    pool_.parallel_for(0, m, run_block, par::Schedule::kStatic);
+    pool_.parallel_for(0, m, run_block);
   }
   record_stages(1e-9 * static_cast<double>(stage_clock() - start), stage_ns,
                 !ops.empty());

@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -37,15 +38,11 @@ bool only_p_invariant_changes(const phylo::GtrParams& a,
 }  // namespace
 
 EngineStats operator-(const EngineStats& a, const EngineStats& b) {
-  static_assert(sizeof(EngineStats) == 15 * sizeof(std::uint64_t),
+  static_assert(sizeof(EngineStats) == 11 * sizeof(std::uint64_t),
                 "EngineStats gained or lost a field: update operator-");
   EngineStats d;
-  d.down_calls = a.down_calls - b.down_calls;
-  d.root_calls = a.root_calls - b.root_calls;
-  d.scale_calls = a.scale_calls - b.scale_calls;
   d.reduce_calls = a.reduce_calls - b.reduce_calls;
   d.tm_builds = a.tm_builds - b.tm_builds;
-  d.pattern_iterations = a.pattern_iterations - b.pattern_iterations;
   d.plf_seconds = a.plf_seconds - b.plf_seconds;
   d.plan_builds = a.plan_builds - b.plan_builds;
   d.plan_ops = a.plan_ops - b.plan_ops;
@@ -550,19 +547,15 @@ void PlfEngine::build_plan() {
     }
     plan_.add(op, static_cast<std::size_t>(
                       levels[static_cast<std::size_t>(id)]));
-
-    // Work accounting: one down/root and one scale call per op.
-    if (op.is_root) {
-      ++stats_.root_calls;
-    } else {
-      ++stats_.down_calls;
-    }
-    ++stats_.scale_calls;
-    stats_.pattern_iterations += 2 * m_;
   }
   plan_.finalize();
   PLF_DCHECK(plan_.n_ops() == recompute_targets_.size(),
              "plan must cover the dirty set exactly");
+  // Every dirty path ends at the root, so a non-empty plan holds exactly one
+  // root op; EngineStats' per-kernel call counts are derived from that.
+  PLF_DCHECK(std::count_if(plan_.ops().begin(), plan_.ops().end(),
+                           [](const PlfOp& op) { return op.is_root; }) == 1,
+             "a non-empty plan must hold exactly one root op");
   // No kernel may ever receive an evicted/unmapped CLV pointer: verify the
   // arena x plan handoff before any backend touches an op.
   detail::check_arena(arena_, plan_);
@@ -641,7 +634,6 @@ void PlfEngine::evaluate() {
   stats_.plf_seconds += plf_sw.seconds();
   post_process_plan();
   ++stats_.reduce_calls;
-  stats_.pattern_iterations += m_;
 
   // The evaluation's working set survives until here (the root reduction
   // reads the root CLV); from the next evaluation on, everything is fair
@@ -737,13 +729,8 @@ void PlfEngine::publish_stats(obs::MetricsRegistry& registry) const {
       registry.set_gauge(registry.gauge(instance_label_ + "." + name), value);
     }
   };
-  set(obs::kGaugeEngineDownCalls, static_cast<double>(stats_.down_calls));
-  set(obs::kGaugeEngineRootCalls, static_cast<double>(stats_.root_calls));
-  set(obs::kGaugeEngineScaleCalls, static_cast<double>(stats_.scale_calls));
   set(obs::kGaugeEngineReduceCalls, static_cast<double>(stats_.reduce_calls));
   set(obs::kGaugeEngineTmBuilds, static_cast<double>(stats_.tm_builds));
-  set(obs::kGaugeEnginePatternIterations,
-      static_cast<double>(stats_.pattern_iterations));
   set(obs::kGaugeEnginePlanBuilds, static_cast<double>(stats_.plan_builds));
   set(obs::kGaugeEnginePlanOps, static_cast<double>(stats_.plan_ops));
   set(obs::kGaugeEnginePlanLevels, static_cast<double>(stats_.plan_levels));

@@ -41,14 +41,15 @@ class BinaryReader;
 namespace plf::core {
 
 /// Counters describing the PLF work performed (consumed by the architecture
-/// timing models and the Fig. 12 breakdown).
+/// timing models and the Fig. 12 breakdown). Each count has one owner here;
+/// per-kernel call counts follow from the plan counters, because every
+/// non-empty plan holds exactly one root op and every op runs one down/root
+/// and one scale kernel: root calls = plan_builds, down calls = plan_ops -
+/// plan_builds, scale calls = plan_ops (mcmc::workload_from_run derives
+/// them).
 struct EngineStats {
-  std::uint64_t down_calls = 0;
-  std::uint64_t root_calls = 0;
-  std::uint64_t scale_calls = 0;
-  std::uint64_t reduce_calls = 0;
+  std::uint64_t reduce_calls = 0;         ///< root-likelihood reductions
   std::uint64_t tm_builds = 0;            ///< per-branch matrix rebuilds
-  std::uint64_t pattern_iterations = 0;   ///< sites actually iterated by kernels
   double plf_seconds = 0.0;               ///< wall time in run_evaluation
 
   // Plan dispatch (docs/EXECUTION_PLAN.md). One build per evaluation with
@@ -119,7 +120,7 @@ class PlfEngine {
   }
 
   /// Fold the current EngineStats into `registry` as "engine.*" gauges
-  /// (call counts, pattern iterations, plan and tip-kernel counters). Gauges
+  /// (reduction and matrix counts, plan and tip-kernel counters). Gauges
   /// are last-write-wins, so repeated publication is idempotent. Cold path:
   /// available regardless of PLF_PROFILING.
   void publish_stats(obs::MetricsRegistry& registry) const;

@@ -184,11 +184,13 @@ arch::PlfWorkload workload_from_run(const McmcResult& result, std::size_t m,
   w.m = m;
   w.K = K;
   w.taxa = taxa;
-  w.down_calls = result.engine_stats.down_calls;
-  w.root_calls = result.engine_stats.root_calls;
-  w.scale_calls = result.engine_stats.scale_calls;
-  w.reduce_calls = result.engine_stats.reduce_calls;
-  w.tm_builds = result.engine_stats.tm_builds;
+  // Per-kernel counts derived from the plan counters (see EngineStats).
+  const core::EngineStats& s = result.engine_stats;
+  w.root_calls = s.plan_builds;
+  w.down_calls = s.plan_ops - s.plan_builds;
+  w.scale_calls = s.plan_ops;
+  w.reduce_calls = s.reduce_calls;
+  w.tm_builds = s.tm_builds;
   // The measured serial wall time, expressed in baseline-core cycles (the
   // abstract unit the arch models consume). tm rebuilds are modeled
   // separately, so subtract nothing here — the engine's measured serial

@@ -42,7 +42,7 @@ CoupledChains::CoupledChains(
       cs.instance_id = scheduler_->register_instance(*cs.engine, label);
     } else if (engines.size() > 1) {
       // Unscheduled multi-chain runs still label each engine so per-instance
-      // gauges ("chain1.engine.down_calls", ...) don't collide in the
+      // gauges ("chain1.engine.plan_ops", ...) don't collide in the
       // metrics registry. Single-chain runs keep the legacy bare names.
       cs.engine->set_instance_label(label);
     }

@@ -31,8 +31,6 @@ inline constexpr const char* kTimerScalerSum = "engine.ScalerSum";
 inline constexpr const char* kTimerPlanBuild = "plan.build";
 inline constexpr const char* kTimerPlanExecute = "plan.execute";
 inline constexpr const char* kTimerPlanLevel = "plan.level";
-inline constexpr const char* kCounterPlanLevels = "plan.levels";
-inline constexpr const char* kCounterPlanOps = "plan.ops";
 /// Parallel regions NOT opened relative to per-call dispatch, which opens 2
 /// per op plus 1 for the root reduction — the reclaimed spawn/sync the Fig. 12
 /// breakdown attributes. A threaded evaluation saves all but its one region,
@@ -88,13 +86,8 @@ inline constexpr const char* kGaugeGpuD2hBytes = "gpu.d2h_bytes";
 
 // Engine statistics published as gauges (PlfEngine::publish_stats folds the
 // EngineStats counters into the registry through these).
-inline constexpr const char* kGaugeEngineDownCalls = "engine.down_calls";
-inline constexpr const char* kGaugeEngineRootCalls = "engine.root_calls";
-inline constexpr const char* kGaugeEngineScaleCalls = "engine.scale_calls";
 inline constexpr const char* kGaugeEngineReduceCalls = "engine.reduce_calls";
 inline constexpr const char* kGaugeEngineTmBuilds = "engine.tm_builds";
-inline constexpr const char* kGaugeEnginePatternIterations =
-    "engine.pattern_iterations";
 inline constexpr const char* kGaugeEnginePlanBuilds = "engine.plan_builds";
 inline constexpr const char* kGaugeEnginePlanOps = "engine.plan_ops";
 inline constexpr const char* kGaugeEnginePlanLevels = "engine.plan_levels";

@@ -3,30 +3,34 @@
 // The paper parallelizes the outermost PLF loop with
 // `#pragma omp parallel for` (§3.2) and observes that the spawn/sync cost of
 // each parallel region is what limits scalability as the number of PLF calls
-// grows (§4.1.1). We reproduce that structure: one pool is created up front,
-// each `parallel_for` is a "parallel region" whose entry/exit are counted and
-// timed so the multi-core timing model can be calibrated from measurements.
+// grows (§4.1.1). We reproduce that structure: one pool is created up front
+// and each `parallel_for` is a "parallel region" with the static schedule of
+// `schedule(static)` — one contiguous block of the index range per thread.
+// Regions are counted; bench_suite's `par.region_overhead.t*` cases time
+// empty ones.
 //
 // Multi-region sharing (docs/SHARDING.md): unlike an OpenMP team, the pool
 // accepts parallel_for calls from MANY external threads concurrently. Each
 // call enqueues a region; workers drain the region queue in FIFO order,
-// claiming work units from the oldest region that still has unclaimed units,
+// claiming blocks from the oldest region that still has unclaimed blocks,
 // so independent engine instances can batch their plans through one shared
 // pool without serializing on a single-region lock. A submitting thread only
-// executes units of its own region (and then blocks until that region
+// executes blocks of its own region (and then blocks until that region
 // completes), which bounds its latency by its own work plus whatever the
 // workers are already committed to. Nested calls — a region body invoking
 // parallel_for on the same pool — remain rejected: they could deadlock the
 // workers executing the outer region.
 //
-// Determinism: the static schedule always partitions [begin, end) into
-// exactly `size()` contiguous blocks and passes the BLOCK index as the body's
-// thread_index, no matter which thread claims which block. Reductions that
-// combine per-thread_index partials in index order (ThreadedBackend::
-// run_root_reduce) therefore stay bit-identical under region interleaving.
+// Determinism: a region always partitions [begin, end) into exactly `size()`
+// contiguous blocks and passes the BLOCK index as the body's second argument,
+// no matter which thread claims which block. Reductions that combine
+// per-block partials in index order (ThreadedBackend::run_root_reduce)
+// therefore stay bit-identical under region interleaving.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -60,19 +64,6 @@ inline Range static_block(std::size_t begin, std::size_t end,
   return Range{first, first + base + (index < extra ? 1 : 0)};
 }
 
-/// How parallel_for distributes iterations.
-enum class Schedule {
-  kStatic,   ///< one contiguous block per worker (OpenMP schedule(static))
-  kDynamic,  ///< workers pull fixed-size chunks from a shared counter
-};
-
-/// Counters describing pool activity since the last reset, used by the
-/// architecture model calibration.
-struct PoolStats {
-  std::uint64_t regions = 0;        ///< number of parallel regions executed
-  double region_overhead_s = 0.0;   ///< total wall time in spawn+join outside body
-};
-
 class ThreadPool {
  public:
   /// Creates `threads` workers. 0 means std::thread::hardware_concurrency().
@@ -85,40 +76,38 @@ class ThreadPool {
   /// Number of threads that execute a region (workers + calling thread).
   std::size_t size() const { return workers_.size() + 1; }
 
-  /// Run `body(range, thread_index)` over [begin, end) across all threads.
-  /// Blocks until every iteration has completed (the implicit barrier at the
-  /// end of an OpenMP parallel-for). Safe to call repeatedly and from several
-  /// threads at once (regions from concurrent callers interleave on the
-  /// workers); NOT reentrant from inside a region body on the same pool.
+  /// Run `body(block_range, block_index)` for each of the `size()` static
+  /// blocks of [begin, end) (empty blocks are skipped). Blocks until every
+  /// block has completed (the implicit barrier at the end of an OpenMP
+  /// parallel-for). Safe to call repeatedly and from several threads at once
+  /// (regions from concurrent callers interleave on the workers); NOT
+  /// reentrant from inside a region body on the same pool.
   void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(Range, std::size_t)>& body,
-                    Schedule schedule = Schedule::kStatic,
-                    std::size_t chunk = 0);
+                    const std::function<void(Range, std::size_t)>& body);
 
-  /// Convenience element-wise form: body(index).
-  void parallel_for_each(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body);
-
-  PoolStats stats() const PLF_EXCLUDES(stats_m_);
-  void reset_stats() PLF_EXCLUDES(stats_m_);
+  /// Non-empty regions entered since construction or reset_regions().
+  std::uint64_t regions() const {
+    return regions_.load(std::memory_order_relaxed);
+  }
+  void reset_regions() { regions_.store(0, std::memory_order_relaxed); }
 
  private:
   struct Region;
-  void worker_loop(std::size_t worker_index);
-  /// Execute one claimed unit of `region` (block for static, chunk for
-  /// dynamic) as claim slot `slot`. Exceptions are captured into the region.
-  void run_unit(Region& region, std::size_t unit, std::size_t slot);
-  /// Mark `region` finished if all units are claimed and none is running:
+  void worker_loop();
+  /// Execute block `block` of `region`. Exceptions are captured into the
+  /// region.
+  void run_block(Region& region, std::size_t block);
+  /// Mark `region` finished if all blocks are claimed and none is running:
   /// unlinks it from the queue and wakes its submitter.
   void finish_if_complete(Region& region) PLF_REQUIRES(m_);
-  /// Oldest enqueued region with unclaimed units, or nullptr.
+  /// Oldest enqueued region with unclaimed blocks, or nullptr.
   Region* claimable_region() PLF_REQUIRES(m_);
 
   std::vector<std::thread> workers_;  // immutable after construction
 
   // Region queue protocol: m_ guards the queue and every Region's claim state
   // (cursor / in-flight count / done flag). Workers sleep on cv_start_ until
-  // some region has unclaimed units; each submitter sleeps on cv_done_ until
+  // some region has unclaimed blocks; each submitter sleeps on cv_done_ until
   // its own (stack-owned) region is done. A Region is unlinked under m_
   // before its submitter can return, so queue pointers never dangle.
   util::Mutex m_;
@@ -127,12 +116,7 @@ class ThreadPool {
   std::vector<Region*> queue_ PLF_GUARDED_BY(m_);  // FIFO, oldest first
   bool shutting_down_ PLF_GUARDED_BY(m_) = false;
 
-  mutable util::Mutex stats_m_;
-  PoolStats stats_ PLF_GUARDED_BY(stats_m_);
+  std::atomic<std::uint64_t> regions_{0};
 };
-
-/// Pool shared by library components that do not manage their own
-/// (constructed on first use with hardware concurrency).
-ThreadPool& default_pool();
 
 }  // namespace plf::par

@@ -1,6 +1,8 @@
 #include "seqgen/random_tree.hpp"
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -50,7 +52,13 @@ phylo::Tree finish(std::vector<BNode>& nodes, int root,
 
 std::vector<std::string> default_taxon_names(std::size_t n) {
   std::vector<std::string> names(n);
-  for (std::size_t i = 0; i < n; ++i) names[i] = "t" + std::to_string(i + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Appended into a fresh string: gcc 12 at -O3 reports a false
+    // -Wrestrict on "t" + std::string and on assigning "t" to the element.
+    std::string name("t");
+    name += std::to_string(i + 1);
+    names[i] = std::move(name);
+  }
   return names;
 }
 

@@ -196,9 +196,10 @@ TEST_P(BackendDiffTest, PerCallAndPlanAgreeBitwiseAndMatchReference) {
               0);
     EXPECT_GT(plan.stats().plan_builds, 0u);
     EXPECT_GT(plan.stats().plan_ops, 0u);
-    // Identical work, batched: the kernel-call accounting must agree.
-    EXPECT_EQ(percall.stats().pattern_iterations,
-              plan.stats().pattern_iterations);
+    // Identical work, batched: the kernel-call accounting must agree (the
+    // sites the kernels iterate are m * (2 * plan_ops + reduce_calls)).
+    EXPECT_EQ(percall.stats().plan_ops, plan.stats().plan_ops);
+    EXPECT_EQ(percall.stats().reduce_calls, plan.stats().reduce_calls);
 
     // Tip specialization: on tip-capable backends the plan engine must
     // have routed cherries through the pair-table gather (every binary
@@ -243,10 +244,10 @@ TEST_P(BackendDiffTest, PerCallAndPlanAgreeBitwiseAndMatchReference) {
           static_cast<const ThreadedBackend&>(*h_plan.backend);
       if (columns == kInlineColumns) {
         ASSERT_TRUE(threaded.runs_inline(m * (d.tree.n_internal() + 1)));
-        EXPECT_EQ(h_plan.pool->stats().regions, 0u);
+        EXPECT_EQ(h_plan.pool->regions(), 0u);
       } else if (columns == kRegionColumns) {
         ASSERT_FALSE(threaded.runs_inline(2 * m));
-        EXPECT_EQ(h_plan.pool->stats().regions,
+        EXPECT_EQ(h_plan.pool->regions(),
                   plan.stats().plan_builds);
       }
     }

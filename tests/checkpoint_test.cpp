@@ -93,7 +93,7 @@ TEST(CheckpointTest, EngineChainRoundTripResumesBitExact) {
     for (const Combo& c : kCombos) {
       SCOPED_TRACE(::testing::Message()
                    << c.name << " " << inst.data.n_patterns() << " patterns");
-      pool.reset_stats();
+      pool.reset_regions();
       core::ExecutionBackend& inner =
           c.threaded ? static_cast<core::ExecutionBackend&>(threaded) : serial;
       core::PerCallBackend per_call(inner);
@@ -161,10 +161,10 @@ TEST(CheckpointTest, EngineChainRoundTripResumesBitExact) {
         const std::size_t m = inst.data.n_patterns();
         if (is_large) {
           ASSERT_FALSE(threaded.runs_inline(2 * m));
-          EXPECT_GT(pool.stats().regions, 0u);
+          EXPECT_GT(pool.regions(), 0u);
         } else if (is_small) {
           ASSERT_TRUE(threaded.runs_inline(m * (inst.tree.n_internal() + 1)));
-          EXPECT_EQ(pool.stats().regions, 0u);
+          EXPECT_EQ(pool.regions(), 0u);
         }
       }
     }

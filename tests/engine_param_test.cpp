@@ -108,8 +108,13 @@ INSTANTIATE_TEST_SUITE_P(
       for (auto& c : v) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
-      return "K" + std::to_string(std::get<0>(info.param)) + "_" + v + "_" +
-             name_of(std::get<2>(info.param));
+      std::string name = "K";
+      name += std::to_string(std::get<0>(info.param));
+      name += '_';
+      name += v;
+      name += '_';
+      name += name_of(std::get<2>(info.param));
+      return name;
     });
 
 }  // namespace

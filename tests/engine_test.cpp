@@ -330,25 +330,28 @@ TEST(EngineTest, StatsCountCalls) {
   PlfEngine engine(inst.data, inst.params, inst.tree, backend);
   engine.log_likelihood();
   const auto& s = engine.stats();
-  // 8 taxa -> 6 internal nodes: 5 down + 1 root, each scaled; one reduce.
-  EXPECT_EQ(s.down_calls, 5u);
-  EXPECT_EQ(s.root_calls, 1u);
-  EXPECT_EQ(s.scale_calls, 6u);
+  // 8 taxa -> 6 internal nodes: one plan of 5 down ops + 1 root op, each
+  // scaled; one reduce. Down calls are plan_ops - plan_builds, root calls
+  // plan_builds, scale calls plan_ops, and the kernels iterate
+  // m * (2 * plan_ops + reduce_calls) sites.
+  EXPECT_EQ(s.plan_ops - s.plan_builds, 5u);
+  EXPECT_EQ(s.plan_builds, 1u);
+  EXPECT_EQ(s.plan_ops, 6u);
   EXPECT_EQ(s.reduce_calls, 1u);
   EXPECT_EQ(s.tm_builds, engine.tree().n_nodes() - 1);
-  EXPECT_GT(s.pattern_iterations, 0u);
+  EXPECT_GT(2 * s.plan_ops + s.reduce_calls, 0u);
 
   // A clean engine does no further work.
   engine.log_likelihood();
-  EXPECT_EQ(engine.stats().down_calls, 5u);
+  EXPECT_EQ(engine.stats().plan_ops - engine.stats().plan_builds, 5u);
 
   // One leaf branch change: path to root recomputed only.
   engine.set_branch_length(engine.tree().leaf_of(1), 0.3);
   engine.log_likelihood();
-  EXPECT_LT(engine.stats().down_calls, 11u);
+  EXPECT_LT(engine.stats().plan_ops - engine.stats().plan_builds, 11u);
 
   engine.reset_stats();
-  EXPECT_EQ(engine.stats().down_calls, 0u);
+  EXPECT_EQ(engine.stats().plan_ops - engine.stats().plan_builds, 0u);
 }
 
 TEST(EngineTest, GapColumnsContributeNoSignal) {

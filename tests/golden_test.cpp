@@ -107,7 +107,7 @@ TEST(GoldenTest, DupHeavyFullPlanRunsAsOnePoolRegion) {
     e.log_likelihood();
 
     e.set_model(params);  // dirties every internal node
-    pool.reset_stats();
+    pool.reset_regions();
     e.log_likelihood();
     EXPECT_EQ(e.last_plan().n_ops(), inst.tree.n_internal());
     EXPECT_GT(e.last_plan().n_levels(), 1u);
@@ -115,7 +115,7 @@ TEST(GoldenTest, DupHeavyFullPlanRunsAsOnePoolRegion) {
         inst.data.n_patterns() * (inst.tree.n_internal() + 1);
     const bool inline_side = bases == 40;
     ASSERT_EQ(threaded.runs_inline(site_ops), inline_side);
-    EXPECT_EQ(pool.stats().regions, inline_side ? 0u : 1u);
+    EXPECT_EQ(pool.regions(), inline_side ? 0u : 1u);
   }
 }
 

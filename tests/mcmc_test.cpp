@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <sstream>
+#include <string>
 
 #include "core/backend.hpp"
 #include "core/engine.hpp"
 #include "mcmc/chain.hpp"
 #include "mcmc/proposals.hpp"
+#include "par/thread_pool.hpp"
 #include "phylo/patterns.hpp"
 #include "seqgen/datasets.hpp"
 #include "seqgen/evolve.hpp"
 #include "seqgen/random_tree.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace plf::mcmc {
 namespace {
@@ -171,17 +177,17 @@ TEST(McmcTest, WorkloadBridgeCountsMatchEngine) {
   const auto result = chain.run(400);
 
   const auto w = workload_from_run(result, inst.data.n_patterns(), 4, 12);
-  EXPECT_EQ(w.down_calls, result.engine_stats.down_calls);
-  EXPECT_EQ(w.root_calls, result.engine_stats.root_calls);
-  EXPECT_EQ(w.reduce_calls, result.engine_stats.reduce_calls);
+  const core::EngineStats& s = result.engine_stats;
+  EXPECT_EQ(w.down_calls, s.plan_ops - s.plan_builds);
+  EXPECT_EQ(w.root_calls, s.plan_builds);
+  EXPECT_EQ(w.scale_calls, s.plan_ops);
+  EXPECT_EQ(w.reduce_calls, s.reduce_calls);
   EXPECT_GT(w.plf_calls(), 400u);  // at least one node per generation
   EXPECT_GE(w.serial_cycles, 0.0);
 }
 
 // McmcResult::engine_stats covers run() alone: the chain constructor's
-// evaluation must come off every counter, not just the call counts. Every
-// evaluation with dirty nodes builds one plan holding one root op, so a run's
-// plan builds and root calls agree exactly.
+// evaluation must come off every counter, not just the call counts.
 TEST(McmcTest, RunStatsExcludeConstructorEvaluation) {
   auto inst = make_instance(12, 120, 7);
   core::SerialBackend backend;
@@ -192,10 +198,126 @@ TEST(McmcTest, RunStatsExcludeConstructorEvaluation) {
   const auto result = chain.run(400);
 
   const core::EngineStats& s = result.engine_stats;
-  EXPECT_GT(s.root_calls, 0u);
-  EXPECT_EQ(s.plan_builds, s.root_calls);
-  EXPECT_EQ(s.plan_ops, s.down_calls + s.root_calls);
+  EXPECT_GT(s.plan_builds, 0u);
+  EXPECT_GE(s.plan_ops, s.plan_builds);
   EXPECT_EQ(engine.stats().plan_builds, s.plan_builds + 1);
+}
+
+/// Forwards every call to `inner` and records the root ops of each plan the
+/// engine hands to run_evaluation, so a test can check the invariant the
+/// derived per-kernel counts rest on: every non-empty plan holds exactly one
+/// root op, so root calls == plan_builds.
+class RootOpRecorder final : public core::ExecutionBackend {
+ public:
+  explicit RootOpRecorder(core::ExecutionBackend& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name() + "/recorded"; }
+  core::Capabilities capabilities() const override {
+    return inner_.capabilities();
+  }
+  void run_down(const core::KernelSet& ks, const core::DownArgs& a,
+                std::size_t m) override {
+    inner_.run_down(ks, a, m);
+  }
+  void run_root(const core::KernelSet& ks, const core::RootArgs& a,
+                std::size_t m) override {
+    inner_.run_root(ks, a, m);
+  }
+  void run_scale(const core::KernelSet& ks, const core::ScaleArgs& a,
+                 std::size_t m) override {
+    inner_.run_scale(ks, a, m);
+  }
+  double run_root_reduce(const core::KernelSet& ks,
+                         const core::RootReduceArgs& a,
+                         std::size_t m) override {
+    return inner_.run_root_reduce(ks, a, m);
+  }
+  double run_evaluation(const core::KernelSet& ks, const core::PlfPlan& plan,
+                        const core::EvalTail& tail) override {
+    std::uint64_t roots = 0;
+    for (const core::PlfOp& op : plan.ops()) roots += op.is_root ? 1 : 0;
+    root_ops += roots;
+    if (plan.ops().empty()) {
+      ++empty_plans;
+    } else if (roots != 1) {
+      ++plans_without_one_root;
+    }
+    return inner_.run_evaluation(ks, plan, tail);
+  }
+
+  std::uint64_t root_ops = 0;
+  std::uint64_t empty_plans = 0;             ///< tail-only evaluations
+  std::uint64_t plans_without_one_root = 0;  ///< non-empty, roots != 1
+
+ private:
+  core::ExecutionBackend& inner_;
+};
+
+// Every non-empty plan holds exactly one root op, so the root-call count is
+// plan_builds (and down calls plan_ops - plan_builds). Checked through every
+// path that builds a plan: the full MCMC move mix (NNI, SPR and the +I slide
+// included) under a finite CLV budget, a p-invariant tail-only evaluation,
+// and an evaluation right after restore_state, on both CPU backends.
+TEST(McmcTest, EveryPlanHoldsExactlyOneRootOp) {
+  auto inst = make_instance(16, 200, 23);
+  inst.params.p_invariant = 0.2;
+  par::ThreadPool pool(2);
+  core::SerialBackend serial;
+  core::ThreadedBackend threaded(pool);
+  for (core::ExecutionBackend* inner :
+       std::initializer_list<core::ExecutionBackend*>{&serial, &threaded}) {
+    SCOPED_TRACE(inner->name());
+    RootOpRecorder rec(*inner);
+    core::ClvBudget budget;
+    budget.kind = core::ClvBudget::Kind::kFraction;
+    budget.fraction = 0.5;  // the minimum feasible working set
+    core::PlfEngine engine(inst.data, inst.params, inst.tree, rec,
+                           core::KernelVariant::kSimdCol, budget);
+    McmcOptions opts;
+    opts.seed = 29;
+    opts.w_spr = 1.0;
+    opts.w_pinv = 0.5;
+    McmcChain chain(engine, opts);
+    chain.run(400);
+    // The budget made the engine rematerialize evicted CLVs, and the +I
+    // slide ran tail-only evaluations (empty plans).
+    EXPECT_GT(engine.arena().counters().recompute_ops, 0u);
+    EXPECT_GT(rec.empty_plans, 0u);
+    EXPECT_EQ(rec.plans_without_one_root, 0u);
+    EXPECT_EQ(rec.root_ops, engine.stats().plan_builds);
+
+    // A p-invariant-only change right after a clean evaluation: one
+    // evaluation, tail-only unless the root's CLV had to be rematerialized.
+    engine.set_branch_length(engine.tree().leaf_of(1), 0.2);
+    engine.log_likelihood();
+    const std::uint64_t reduces_before = engine.stats().reduce_calls;
+    phylo::GtrParams p = engine.model_params();
+    p.p_invariant = p.p_invariant * 0.5 + 0.05;
+    engine.set_model(p);
+    engine.log_likelihood();
+    EXPECT_EQ(engine.stats().reduce_calls, reduces_before + 1);
+    EXPECT_EQ(rec.plans_without_one_root, 0u);
+    EXPECT_EQ(rec.root_ops, engine.stats().plan_builds);
+
+    // Save, move away, restore: the restored engine's first evaluation
+    // rebuilds whatever the checkpoint left non-resident or dirty.
+    std::ostringstream os;
+    {
+      util::BinaryWriter w(os);
+      engine.save_state(w);
+    }
+    engine.set_branch_length(engine.tree().leaf_of(3), 0.7);
+    engine.log_likelihood();
+    std::istringstream is(os.str());
+    {
+      util::BinaryReader r(is);
+      engine.restore_state(r);
+    }
+    engine.set_branch_length(engine.tree().leaf_of(5), 0.3);
+    engine.log_likelihood();
+    EXPECT_EQ(rec.plans_without_one_root, 0u);
+    EXPECT_EQ(rec.root_ops, engine.stats().plan_builds);
+  }
 }
 
 TEST(McmcTest, AnalyticWorkloadApproximatesMeasured) {

@@ -317,10 +317,10 @@ void lockstep_storm(BackendKind kind, std::uint64_t seed,
     const std::size_t m = d.data.n_patterns();
     if (columns == kInlineColumns) {
       ASSERT_TRUE(threaded.runs_inline(m * (d.tree.n_internal() + 1)));
-      EXPECT_EQ(h_plan.pool->stats().regions, 0u);
+      EXPECT_EQ(h_plan.pool->regions(), 0u);
     } else if (columns == kRegionColumns) {
       ASSERT_FALSE(threaded.runs_inline(2 * m));
-      EXPECT_EQ(h_plan.pool->stats().regions, plan.stats().plan_builds);
+      EXPECT_EQ(h_plan.pool->regions(), plan.stats().plan_builds);
     }
   }
 }
@@ -624,9 +624,9 @@ TEST(PlanArenaTest, TailOnlyEvaluationRematerializesAnEvictedRoot) {
 template <class Each>
 void drive_evaluations(PlfEngine& e, par::ThreadPool& pool, Each each) {
   const auto eval = [&] {
-    pool.reset_stats();
+    pool.reset_regions();
     e.log_likelihood();
-    each(pool.stats().regions);
+    each(pool.regions());
   };
   eval();
   e.set_branch_length(e.tree().leaf_of(2), 0.3);

@@ -113,9 +113,11 @@ std::string format_report(const CompareReport& report) {
     return std::isfinite(v) ? Table::num(v, prec) : std::string("-");
   };
   for (const CaseResult& r : report.cases) {
+    std::string threshold = "+";
+    threshold += Table::num(100.0 * r.threshold, 0);
+    threshold += '%';
     t.row({r.name, cell(r.baseline_min, 6), cell(r.current_min, 6),
-           cell(r.ratio, 3), "+" + Table::num(100.0 * r.threshold, 0) + "%",
-           to_string(r.status)});
+           cell(r.ratio, 3), threshold, to_string(r.status)});
   }
   os << t;
   os << "summary: " << report.ok << " ok, " << report.improved

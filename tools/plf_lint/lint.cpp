@@ -64,8 +64,9 @@ std::vector<Token> tokenize(std::string_view src) {
     if (c == 'R' && i + 1 < n && src[i + 1] == '"') {
       std::size_t p = i + 2;
       while (p < n && src[p] != '(') ++p;
-      const std::string close =
-          ")" + std::string(src.substr(i + 2, p - (i + 2))) + "\"";
+      std::string close = ")";
+      close += src.substr(i + 2, p - (i + 2));
+      close += '"';
       const std::size_t end = src.find(close, p);
       const std::size_t stop = end == std::string_view::npos ? n : end + close.size();
       const int start_line = line;
