@@ -11,10 +11,16 @@
 //                               the threaded backend's grain rule
 //   engine.<backend>.<dispatch>.sr-off
 //                               seconds per likelihood evaluation under a
-//                               branch-move loop, over {serial,threaded} ×
-//                               {percall,plan} (percall: the backend wrapped
-//                               in core::PerCallBackend); the sr-off suffix
-//                               is kept so names match bench/baseline.json
+//                               branch-move loop (one dirty path), over
+//                               {serial,threaded} × {percall,plan} (percall:
+//                               the backend wrapped in core::PerCallBackend);
+//                               the sr-off suffix is kept so names match
+//                               bench/baseline.json
+//   engine.<backend>.<dispatch>.model-move
+//                               the same under a model-move loop (set_model
+//                               dirties every node): the plan-dispatch
+//                               ablation's worst case for per-call, 2 regions
+//                               per op against 1 per evaluation
 //
 // Noise discipline: every case value is the MINIMUM over --reps repetitions
 // of the identical deterministic workload — the least-disturbed observation —
@@ -313,12 +319,12 @@ CaseStat engine_case(const phylo::PatternMatrix& data,
                      const phylo::Tree& tree, const phylo::GtrParams& params,
                      core::ExecutionBackend& backend,
                      const char* backend_label, const char* dispatch_label,
-                     std::uint64_t evals, int reps,
+                     std::uint64_t evals, int reps, bool model_move = false,
                      core::ClvBudget budget = core::ClvBudget{},
                      const char* name_suffix = "") {
   CaseStat cs;
   cs.name = std::string("engine.") + backend_label + "." + dispatch_label +
-            ".sr-off" + name_suffix;
+            (model_move ? ".model-move" : ".sr-off") + name_suffix;
   cs.unit = "s/eval";
   cs.iters = evals;
   // Engine paths cross parallel regions and allocators; they are noisier
@@ -332,9 +338,13 @@ CaseStat engine_case(const phylo::PatternMatrix& data,
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_s();
     for (std::uint64_t i = 0; i < evals; ++i) {
-      engine.set_branch_length(
-          engine.tree().leaf_of(static_cast<int>(i) % n_leaves),
-          0.05 + 0.001 * static_cast<double>(i % 7));
+      if (model_move) {
+        engine.set_model(params);  // dirties every node
+      } else {
+        engine.set_branch_length(
+            engine.tree().leaf_of(static_cast<int>(i) % n_leaves),
+            0.05 + 0.001 * static_cast<double>(i % 7));
+      }
       engine.log_likelihood();
     }
     const double t1 = now_s();
@@ -632,10 +642,12 @@ int main(int argc, char** argv) {
     const BackendRow executors[] = {{&per_call, "percall"},
                                     {b.backend, "plan"}};
     for (const BackendRow& e : executors) {
-      cases.push_back(engine_case(data, tree, params, *e.backend, b.label,
-                                  e.label, engine_evals, reps));
-      std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
-                << " ms/eval (min of " << reps << ")\n";
+      for (const bool model_move : {false, true}) {
+        cases.push_back(engine_case(data, tree, params, *e.backend, b.label,
+                                    e.label, engine_evals, reps, model_move));
+        std::cerr << cases.back().name << ": " << cases.back().min() * 1e3
+                  << " ms/eval (min of " << reps << ")\n";
+      }
     }
   }
 
@@ -655,7 +667,7 @@ int main(int argc, char** argv) {
                                {"0.25", ".budget-0.25"}};
   for (const BudgetRow& b : budgets) {
     cases.push_back(engine_case(data, tree, params, serial, "serial",
-                                "plan", engine_evals, reps,
+                                "plan", engine_evals, reps, false,
                                 core::clv_budget_from_string(b.spec),
                                 b.suffix));
     std::cerr << cases.back().name << ": " << cases.back().min() * 1e3

@@ -47,7 +47,7 @@
 // --profile enables span tracing, prints the paper-style (Fig. 12) time
 // breakdown after the run, and writes a chrome://tracing / Perfetto-loadable
 // trace to FILE (default plf_trace.json). --metrics-json dumps the full
-// metrics snapshot (counters, gauges, timer stats) as JSON to FILE (default
+// metrics snapshot (gauges, timer stats) as JSON to FILE (default
 // plf_metrics.json).
 #include <charconv>
 #include <cmath>
@@ -70,6 +70,7 @@
 #include "obs/exporter.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "phylo/nexus.hpp"
@@ -369,10 +370,14 @@ int run_main(int argc, char** argv) {
   if (!profile_path.empty() || !metrics_path.empty()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     // Every chain's engine.* gauges (labelled chain<i> when there are
-    // several): together they are the run's whole plan work.
+    // several): together they are the run's whole plan work. Next to them,
+    // the evaluations the backend ran inline (the rest opened one par.region
+    // each).
     for (std::size_t i = 0; i < mc3.n_chains(); ++i) {
       mc3.engine(i).publish_stats(reg);
     }
+    reg.set_gauge(reg.gauge(obs::kGaugePlanInlineEvals),
+                  static_cast<double>(backend.inline_evals()));
     const obs::Snapshot snap = reg.snapshot();
     if (!profile_path.empty()) {
       const obs::Breakdown b =

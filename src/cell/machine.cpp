@@ -23,6 +23,10 @@ void publish_cell_metrics([[maybe_unused]] const CellRunStats& s) {
   PLF_PROF_GAUGE(obs::kGaugeCellSpuDmaWaitSeconds, s.spu_dma_wait_s);
   PLF_PROF_GAUGE(obs::kGaugeCellDmaBytes, static_cast<double>(s.dma_bytes));
   PLF_PROF_GAUGE(obs::kGaugeTransferSimSeconds, s.spu_dma_wait_s);
+  PLF_PROF_GAUGE(obs::kGaugeCellPlfInvocations,
+                 static_cast<double>(s.plf_invocations));
+  PLF_PROF_GAUGE(obs::kGaugeCellMailboxMessages,
+                 static_cast<double>(s.mailbox_messages));
 }
 }  // namespace
 
@@ -72,7 +76,6 @@ double CellMachine::offload(SpuCommand cmd, const SpuJob& proto, std::size_t m,
     Spu& spu = *spes_[s];
     ppe_t = spu.inbound().write(static_cast<std::uint32_t>(cmd), ppe_t);
     ++stats_.mailbox_messages;
-    PLF_PROF_COUNT(obs::kCounterCellMailboxMessages, 1);
 
     const SpuRunResult r = spu.service(job, ppe_t);
     finish = std::max(finish, r.finish_time);
@@ -92,7 +95,6 @@ double CellMachine::offload(SpuCommand cmd, const SpuJob& proto, std::size_t m,
   clock_.advance_to(done);
   stats_.simulated_plf_s += duration;
   ++stats_.plf_invocations;
-  PLF_PROF_COUNT(obs::kCounterCellPlfInvocations, 1);
   publish_cell_metrics(stats());
   return duration;
 }

@@ -197,7 +197,6 @@ void ThreadedBackend::run_plan(const KernelSet& ks, const PlfPlan& plan) {
   // dispatch for any chunk partition.
   const std::vector<PlfOp>& ops = plan.ops();
   if (ops.empty()) return;
-  PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, 2 * ops.size() - 1);
   PLF_PROF_SCOPE(obs::kTimerPlanLevel);
   pool_.parallel_for(0, plan.m(), [&](par::Range r, std::size_t) {
     for (const PlfOp& op : ops) run_op(ks, op, r.begin, r.end);
@@ -289,18 +288,14 @@ double ThreadedBackend::run_evaluation(const KernelSet& ks,
     stage_ns[b] = {(t1 - t0) + (t3 - t2), t2 - t1, t4 - t3};
   };
 
-  // Per-call dispatch would open 2 regions per op plus 1 for the reduction.
-  const std::size_t percall_regions = 2 * ops.size() + 1;
   const std::uint64_t start = stage_clock();
   if (runs_inline(m * (ops.size() + 1))) {
-    PLF_PROF_COUNT(obs::kCounterPlanInlineEvals, 1);
-    PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, percall_regions);
+    inline_evals_.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t b = 0; b < blocks; ++b) {
       const par::Range r = par::static_block(0, m, blocks, b);
       if (!r.empty()) run_block(r, b);
     }
   } else {
-    PLF_PROF_COUNT(obs::kCounterPlanRegionsSaved, percall_regions - 1);
     pool_.parallel_for(0, m, run_block);
   }
   record_stages(1e-9 * static_cast<double>(stage_clock() - start), stage_ns,

@@ -26,6 +26,7 @@
 // PerCallBackend pins any backend to the defaults.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -174,10 +175,17 @@ class ThreadedBackend final : public ExecutionBackend {
   /// and the pool size.
   bool runs_inline(std::size_t site_ops) const;
 
+  /// Evaluations the grain rule ran inline since construction. Every other
+  /// run_evaluation opened exactly one region of pool().regions().
+  std::uint64_t inline_evals() const {
+    return inline_evals_.load(std::memory_order_relaxed);
+  }
+
   par::ThreadPool& pool() { return pool_; }
 
  private:
   par::ThreadPool& pool_;
+  std::atomic<std::uint64_t> inline_evals_{0};
 };
 
 }  // namespace plf::core

@@ -26,6 +26,8 @@ void publish_gpu_metrics([[maybe_unused]] const GpuRunStats& s,
   PLF_PROF_GAUGE(obs::kGaugeGpuH2dBytes, static_cast<double>(h2d_bytes));
   PLF_PROF_GAUGE(obs::kGaugeGpuD2hBytes, static_cast<double>(d2h_bytes));
   PLF_PROF_GAUGE(obs::kGaugeTransferSimSeconds, s.pcie_s);
+  PLF_PROF_GAUGE(obs::kGaugeGpuKernelLaunches,
+                 static_cast<double>(s.kernel_launches));
   PLF_PROF_GAUGE(obs::kGaugeGpuFusedOps, static_cast<double>(s.plan_fused_ops));
   PLF_PROF_GAUGE(obs::kGaugeGpuPcieBytesSaved,
                  static_cast<double>(s.pcie_bytes_saved));
@@ -197,7 +199,6 @@ double GpuPlf::down_like(const core::DownArgs& a, std::size_t m,
     t += kt;
     stats_.kernel_s += kt;
     ++stats_.kernel_launches;
-    PLF_PROF_COUNT(obs::kCounterGpuKernelLaunches, 1);
 
     // ---- Fused scale (plan dispatch): rescale the block while it is still
     // device-resident, so the per-call H2D+D2H round trip between the
@@ -315,7 +316,6 @@ double GpuPlf::scale_on_device(float* cl, float* sc, std::size_t m,
   const double kt = launcher_.kernel_time(config_.launch, m, prof);
   stats_.kernel_s += kt;
   ++stats_.kernel_launches;
-  PLF_PROF_COUNT(obs::kCounterGpuKernelLaunches, 1);
   return kt;
 }
 
@@ -402,7 +402,6 @@ double GpuPlf::run_root_reduce(const core::KernelSet& /*ks*/,
   t += kt;
   stats_.kernel_s += kt;
   ++stats_.kernel_launches;
-  PLF_PROF_COUNT(obs::kCounterGpuKernelLaunches, 1);
 
   // Block partials d2h.
   aligned_vector<double> host_partials(blocks);

@@ -55,7 +55,6 @@ const Proposal& McmcChain::draw_proposal(Rng& rng) const {
 
 bool McmcChain::step() {
   PLF_PROF_SCOPE(obs::kTimerMcmcGeneration);
-  PLF_PROF_COUNT(obs::kCounterMcmcGenerations, 1);
   ++generation_;
   const Proposal& move = draw_proposal(rng_);
   ProposalStats& st = stats_[move.name()];

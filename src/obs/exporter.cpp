@@ -178,7 +178,6 @@ void TelemetryExporter::export_record(const TelemetryRecord& record) {
   any_exported_ = true;
   last_export_ns_ = now_ns();
   if (registry_ != nullptr) {
-    registry_->add(registry_->counter(kCounterTelemetryRecords));
     registry_->record_seconds(registry_->timer(kTimerTelemetryExport),
                               timer.seconds());
   }

@@ -21,8 +21,6 @@ namespace plf::obs {
 
 namespace {
 
-enum class EventKind : std::uint8_t { kEmpty = 0, kSpan = 1, kCount = 2 };
-
 /// One ring slot. Every field is a relaxed atomic: a writer publishing a slot
 /// and the crash-path reader scanning it never constitute a data race, and a
 /// half-written slot is detected (and skipped) via the seq protocol below
@@ -39,9 +37,8 @@ enum class EventKind : std::uint8_t { kEmpty = 0, kSpan = 1, kCount = 2 };
 struct Slot {
   std::atomic<const char*> name{nullptr};
   std::atomic<std::uint64_t> t_ns{0};
-  std::atomic<std::uint64_t> dur_ns{0};   // spans: duration; counts: delta
-  std::atomic<std::uint64_t> seq{0};      // 0 = never written
-  std::atomic<std::uint8_t> kind{0};
+  std::atomic<std::uint64_t> dur_ns{0};
+  std::atomic<std::uint64_t> seq{0};  // 0 = never written
 };
 
 /// Per-thread ring. head counts events ever written; slot i holds the event
@@ -91,7 +88,7 @@ Ring& ring_for_this_thread() {
   return *ring;
 }
 
-void record(EventKind kind, const char* name, std::uint64_t t_ns,
+void record(const char* name, std::uint64_t t_ns,
             std::uint64_t dur_ns) noexcept {
   Ring& ring = ring_for_this_thread();
   const std::uint64_t seq = ring.head.fetch_add(1, std::memory_order_relaxed);
@@ -100,7 +97,6 @@ void record(EventKind kind, const char* name, std::uint64_t t_ns,
   slot.name.store(name, std::memory_order_relaxed);
   slot.t_ns.store(t_ns, std::memory_order_relaxed);
   slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
-  slot.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_release);
 }
 
@@ -109,7 +105,6 @@ struct SnapshotEvent {
   std::uint64_t t_ns;
   std::uint64_t dur_ns;
   std::uint64_t seq;
-  EventKind kind;
 };
 
 /// Read one ring without stopping its writer. Torn slots (seq changed while
@@ -127,11 +122,10 @@ std::vector<SnapshotEvent> snapshot_ring(const Ring& ring) {
     ev.name = slot.name.load(std::memory_order_relaxed);
     ev.t_ns = slot.t_ns.load(std::memory_order_relaxed);
     ev.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
-    ev.kind = static_cast<EventKind>(slot.kind.load(std::memory_order_relaxed));
     ev.seq = seq_before;
     const std::uint64_t seq_after = slot.seq.load(std::memory_order_acquire);
     if (seq_after != seq_before) continue;  // torn: rewritten mid-read
-    if (ev.name == nullptr || ev.kind == EventKind::kEmpty) continue;
+    if (ev.name == nullptr) continue;
     out.push_back(ev);
   }
   std::sort(out.begin(), out.end(),
@@ -157,12 +151,7 @@ void crash_hook() noexcept { dump_flight("contract-violation"); }
 void flight_record_span(const char* name, std::uint64_t start_ns,
                         std::uint64_t dur_ns) noexcept {
   if (name == nullptr) return;
-  record(EventKind::kSpan, name, start_ns, dur_ns);
-}
-
-void flight_record_count(const char* name, std::uint64_t delta) noexcept {
-  if (name == nullptr) return;
-  record(EventKind::kCount, name, 0, delta);
+  record(name, start_ns, dur_ns);
 }
 
 void install_flight_handlers() {
@@ -199,15 +188,9 @@ void write_flight_json(std::ostream& os, const char* reason) {
     for (const SnapshotEvent& ev : events) {
       if (!first_ev) os << ",";
       first_ev = false;
-      os << "{\"kind\":\""
-         << (ev.kind == EventKind::kSpan ? "span" : "count") << "\",\"name\":\""
-         << json_escape(ev.name) << "\",\"seq\":" << ev.seq;
-      if (ev.kind == EventKind::kSpan) {
-        os << ",\"t_ns\":" << ev.t_ns << ",\"dur_ns\":" << ev.dur_ns;
-      } else {
-        os << ",\"delta\":" << ev.dur_ns;
-      }
-      os << "}";
+      os << "{\"kind\":\"span\",\"name\":\"" << json_escape(ev.name)
+         << "\",\"seq\":" << ev.seq << ",\"t_ns\":" << ev.t_ns
+         << ",\"dur_ns\":" << ev.dur_ns << "}";
     }
     os << "]}";
   }
@@ -265,7 +248,6 @@ void flight_reset_for_tests() {
       slot.name.store(nullptr, std::memory_order_relaxed);
       slot.t_ns.store(0, std::memory_order_relaxed);
       slot.dur_ns.store(0, std::memory_order_relaxed);
-      slot.kind.store(0, std::memory_order_relaxed);
     }
     ring->head.store(0, std::memory_order_release);
   }

@@ -5,8 +5,8 @@
 // written out on clean exit. This module answers the opposite question: the
 // process is dying *right now* — a PLF_DCHECK tripped, or an exception
 // escaped to std::terminate — what was each thread doing just before? Every
-// PLF_PROF_SCOPE exit and PLF_PROF_COUNT hit also appends one fixed-size
-// record to a lock-free per-thread ring. The rings cost a handful of relaxed
+// PLF_PROF_SCOPE exit also appends one fixed-size span record to a
+// lock-free per-thread ring. The rings cost a handful of relaxed
 // atomic stores per event, never allocate after thread start, and are read
 // only on the death path, where the dump handler writes the merged rings as
 // JSON to stderr and to `plf_flight_<pid>.json` (override the path with the
@@ -36,9 +36,6 @@ inline constexpr std::uint32_t kFlightRingSize = 256;
 /// thread, safe from any thread at any time.
 void flight_record_span(const char* name, std::uint64_t start_ns,
                         std::uint64_t dur_ns) noexcept;
-
-/// Append a counter increment to this thread's ring. Same rules as spans.
-void flight_record_count(const char* name, std::uint64_t delta) noexcept;
 
 /// Install the std::terminate hook (and the contract crash hook, normally
 /// auto-installed on first record). Idempotent; chains any previously

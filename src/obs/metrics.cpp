@@ -27,7 +27,6 @@ std::uint64_t next_registry_serial() {
 /// (flush paths); never the reverse.
 struct MetricsRegistry::Shard {
   mutable util::Mutex m;  // const flush paths lock shards they only read
-  std::vector<std::uint64_t> counters PLF_GUARDED_BY(m);  // indexed by MetricId
   std::vector<OnlineStats> timers PLF_GUARDED_BY(m);      // indexed by MetricId
   std::vector<LatencyHistogram> hists PLF_GUARDED_BY(m);  // with timers
   std::vector<TraceEvent> events PLF_GUARDED_BY(m);
@@ -78,23 +77,12 @@ MetricId MetricsRegistry::intern(std::string_view name, MetricKind kind) {
   return static_cast<MetricId>(names_.size() - 1);
 }
 
-MetricId MetricsRegistry::counter(std::string_view name) {
-  return intern(name, MetricKind::kCounter);
-}
-
 MetricId MetricsRegistry::gauge(std::string_view name) {
   return intern(name, MetricKind::kGauge);
 }
 
 MetricId MetricsRegistry::timer(std::string_view name) {
   return intern(name, MetricKind::kTimer);
-}
-
-void MetricsRegistry::add(MetricId id, std::uint64_t delta) {
-  Shard& s = shard_for_this_thread();
-  util::MutexLock lock(s.m);
-  if (s.counters.size() <= id) s.counters.resize(id + 1, 0);
-  s.counters[id] += delta;
 }
 
 void MetricsRegistry::record_seconds(MetricId id, double seconds) {
@@ -148,15 +136,11 @@ Snapshot MetricsRegistry::snapshot() const {
   util::MutexLock registry_lock(mutex_);
   const std::vector<NameEntry>& names = names_;
 
-  std::vector<std::uint64_t> counter_totals(names.size(), 0);
   std::vector<OnlineStats> timer_totals(names.size());
   std::vector<LatencyHistogram> hist_totals(names.size());
   for (const auto& sp : shards_) {
     const Shard* s = sp.get();
     util::MutexLock lock(s->m);
-    for (std::size_t i = 0; i < s->counters.size() && i < names.size(); ++i) {
-      counter_totals[i] += s->counters[i];
-    }
     for (std::size_t i = 0; i < s->timers.size() && i < names.size(); ++i) {
       timer_totals[i].merge(s->timers[i]);
       hist_totals[i].merge(s->hists[i]);
@@ -167,10 +151,6 @@ Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
   for (std::size_t i = 0; i < names.size(); ++i) {
     switch (names[i].kind) {
-      case MetricKind::kCounter:
-        snap.counters.push_back(Snapshot::Counter{names[i].name,
-                                                  counter_totals[i]});
-        break;
       case MetricKind::kGauge:
         snap.gauges.push_back(Snapshot::Gauge{names[i].name, gauges[i]});
         break;
@@ -183,7 +163,6 @@ Snapshot MetricsRegistry::snapshot() const {
   }
   snap.trace_events_dropped = trace_dropped_.load(std::memory_order_relaxed);
   auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
-  std::sort(snap.counters.begin(), snap.counters.end(), by_name);
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.timers.begin(), snap.timers.end(), by_name);
   return snap;
@@ -219,7 +198,6 @@ void MetricsRegistry::reset() {
   for (const auto& sp : shards_) {
     Shard* s = sp.get();
     util::MutexLock lock(s->m);
-    std::fill(s->counters.begin(), s->counters.end(), 0);
     std::fill(s->timers.begin(), s->timers.end(), OnlineStats{});
     std::fill(s->hists.begin(), s->hists.end(), LatencyHistogram{});
     s->events.clear();
@@ -231,13 +209,6 @@ void MetricsRegistry::reset() {
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
-}
-
-const Snapshot::Counter* Snapshot::find_counter(std::string_view name) const {
-  for (const auto& c : counters) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
 }
 
 const Snapshot::Gauge* Snapshot::find_gauge(std::string_view name) const {
@@ -257,11 +228,6 @@ const Snapshot::Timer* Snapshot::find_timer(std::string_view name) const {
 double Snapshot::timer_total_s(std::string_view name) const {
   const Timer* t = find_timer(name);
   return t == nullptr ? 0.0 : t->stats.total();
-}
-
-std::uint64_t Snapshot::counter_value(std::string_view name) const {
-  const Counter* c = find_counter(name);
-  return c == nullptr ? 0 : c->value;
 }
 
 double Snapshot::gauge_value(std::string_view name) const {

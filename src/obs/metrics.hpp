@@ -1,5 +1,5 @@
-// MetricsRegistry: named counters, gauges, and OnlineStats timers with
-// thread-local shards.
+// MetricsRegistry: named gauges and OnlineStats timers with thread-local
+// shards.
 //
 // The paper's whole argument is a measurement (gprof shows 85-95% of MrBayes
 // inside three PLF kernels; Fig. 12 decomposes total time into parallel
@@ -7,6 +7,12 @@
 // reproduction's equivalent instrument: every layer — kernels, thread pool,
 // Cell/GPU simulators, MCMC chains — records into it, and obs/report.hpp
 // reassembles the paper-shaped breakdown.
+//
+// There is no counter kind: every count has one owner elsewhere — a timer's
+// sample count (par.region, mcmc.generation, telemetry.export), a stats
+// struct published as gauges (EngineStats, CellRunStats, GpuRunStats), or an
+// atomic the owning object exposes (ThreadPool::regions(),
+// ThreadedBackend::inline_evals()).
 //
 // Concurrency design: each thread writes to its own shard (created on first
 // touch, owned by the registry), so the hot path never contends with other
@@ -42,7 +48,7 @@ namespace plf::obs {
 /// stable for the registry's lifetime; reset() clears values, not names.
 using MetricId = std::uint32_t;
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kTimer };
+enum class MetricKind : std::uint8_t { kGauge, kTimer };
 
 /// One completed PLF_PROF_SCOPE span, recorded only while tracing is
 /// enabled. tid is the shard index (one per recording thread).
@@ -55,10 +61,6 @@ struct TraceEvent {
 
 /// Point-in-time merged view of a registry. Entries are sorted by name.
 struct Snapshot {
-  struct Counter {
-    std::string name;
-    std::uint64_t value = 0;
-  };
   struct Gauge {
     std::string name;
     double value = 0.0;
@@ -69,7 +71,6 @@ struct Snapshot {
     LatencyHistogram hist;   ///< log-bucketed sample distribution (p50/p95/p99)
   };
 
-  std::vector<Counter> counters;
   std::vector<Gauge> gauges;
   std::vector<Timer> timers;
 
@@ -80,14 +81,11 @@ struct Snapshot {
   /// summed over every timer.
   std::uint64_t hist_samples_dropped = 0;
 
-  const Counter* find_counter(std::string_view name) const;
   const Gauge* find_gauge(std::string_view name) const;
   const Timer* find_timer(std::string_view name) const;
 
   /// Sum of a timer's samples in seconds; 0 when absent or empty.
   double timer_total_s(std::string_view name) const;
-  /// Counter value; 0 when absent.
-  std::uint64_t counter_value(std::string_view name) const;
   /// Gauge value; 0 when absent.
   double gauge_value(std::string_view name) const;
 };
@@ -103,12 +101,10 @@ class MetricsRegistry {
   // --- name interning (cold; takes the registry mutex) ---
   // Re-interning an existing name returns its id; asking for the same name
   // with a different kind is a contract violation (PLF_CHECK).
-  MetricId counter(std::string_view name);
   MetricId gauge(std::string_view name);
   MetricId timer(std::string_view name);
 
   // --- hot-path recording (per-thread shard; uncontended lock) ---
-  void add(MetricId id, std::uint64_t delta = 1);
   void record_seconds(MetricId id, double seconds);
   /// Record a completed span for the chrome://tracing export. No-op unless
   /// tracing_enabled(). Does not feed the timer statistics — callers pair it
@@ -132,7 +128,7 @@ class MetricsRegistry {
   /// All recorded trace events, merged across shards, sorted by start time.
   std::vector<TraceEvent> trace_events() const PLF_EXCLUDES(mutex_);
   std::string metric_name(MetricId id) const PLF_EXCLUDES(mutex_);
-  /// Zero every counter/gauge/timer and drop trace events. Interned names
+  /// Zero every gauge and timer and drop trace events. Interned names
   /// and ids survive (handles held by callers stay valid).
   void reset() PLF_EXCLUDES(mutex_);
 

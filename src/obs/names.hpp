@@ -31,23 +31,19 @@ inline constexpr const char* kTimerScalerSum = "engine.ScalerSum";
 inline constexpr const char* kTimerPlanBuild = "plan.build";
 inline constexpr const char* kTimerPlanExecute = "plan.execute";
 inline constexpr const char* kTimerPlanLevel = "plan.level";
-/// Parallel regions NOT opened relative to per-call dispatch, which opens 2
-/// per op plus 1 for the root reduction — the reclaimed spawn/sync the Fig. 12
-/// breakdown attributes. A threaded evaluation saves all but its one region,
-/// or all of them when it runs inline; a bare run_plan saves 2 per op minus 1.
-inline constexpr const char* kCounterPlanRegionsSaved = "plan.regions_saved";
 /// Threaded evaluations the grain rule ran inline on the calling thread
-/// because they were too small to repay a pool region.
-inline constexpr const char* kCounterPlanInlineEvals = "plan.inline_evals";
+/// because they were too small to repay a pool region: the gauge a caller
+/// publishes from ThreadedBackend::inline_evals().
+inline constexpr const char* kGaugePlanInlineEvals = "plan.inline_evals";
 
-// Thread pool (multi-core backend, §3.2).
+// Thread pool (multi-core backend, §3.2). par.region's sample count is the
+// region count (ThreadPool::regions() over the same span).
 inline constexpr const char* kTimerParRegion = "par.region";
 inline constexpr const char* kTimerParWorker = "par.worker";
-inline constexpr const char* kCounterParRegions = "par.regions";
 
-// MCMC application layer.
+// MCMC application layer. mcmc.generation's sample count is the number of
+// chain steps taken.
 inline constexpr const char* kTimerMcmcGeneration = "mcmc.generation";
-inline constexpr const char* kCounterMcmcGenerations = "mcmc.generations";
 
 // Live convergence telemetry (docs/OBSERVABILITY.md). The per-proposal-type
 // prefixes are completed with the proposal's registered name
@@ -61,7 +57,7 @@ inline constexpr const char* kGaugeMcmcColdEss = "mcmc.cold_ess";
 inline constexpr const char* kGaugeMcmcColdRhat = "mcmc.cold_rhat";
 inline constexpr const char* kGaugeMc3SwapRate = "mc3.swap_rate";
 inline constexpr const char* kGaugeMc3SwapPairPrefix = "mc3.swap_rate.";
-inline constexpr const char* kCounterTelemetryRecords = "telemetry.records";
+/// One sample per record written (the count equals records_written()).
 inline constexpr const char* kTimerTelemetryExport = "telemetry.export";
 
 // Simulated transfer time (the Fig. 12 "PCIe" column; the GPU backend
@@ -71,21 +67,21 @@ inline constexpr const char* kTimerTelemetryExport = "telemetry.export";
 inline constexpr const char* kGaugeTransferSimSeconds = "backend.transfer_sim_s";
 
 // Cell/BE simulator.
-inline constexpr const char* kCounterCellMailboxMessages = "cell.mailbox_messages";
-inline constexpr const char* kCounterCellPlfInvocations = "cell.plf_invocations";
+inline constexpr const char* kGaugeCellMailboxMessages = "cell.mailbox_messages";
+inline constexpr const char* kGaugeCellPlfInvocations = "cell.plf_invocations";
 inline constexpr const char* kGaugeCellSimPlfSeconds = "cell.sim_plf_s";
 inline constexpr const char* kGaugeCellSpuDmaWaitSeconds = "cell.spu_dma_wait_s";
 inline constexpr const char* kGaugeCellDmaBytes = "cell.dma_bytes";
 
 // GPU simulator.
-inline constexpr const char* kCounterGpuKernelLaunches = "gpu.kernel_launches";
+inline constexpr const char* kGaugeGpuKernelLaunches = "gpu.kernel_launches";
 inline constexpr const char* kGaugeGpuKernelSimSeconds = "gpu.sim_kernel_s";
 inline constexpr const char* kGaugeGpuPcieSimSeconds = "gpu.sim_pcie_s";
 inline constexpr const char* kGaugeGpuH2dBytes = "gpu.h2d_bytes";
 inline constexpr const char* kGaugeGpuD2hBytes = "gpu.d2h_bytes";
 
 // Engine statistics published as gauges (PlfEngine::publish_stats folds the
-// EngineStats counters into the registry through these).
+// EngineStats fields into the registry through these).
 inline constexpr const char* kGaugeEngineReduceCalls = "engine.reduce_calls";
 inline constexpr const char* kGaugeEngineTmBuilds = "engine.tm_builds";
 inline constexpr const char* kGaugeEnginePlanBuilds = "engine.plan_builds";

@@ -75,17 +75,6 @@ class ScopedTimer {
       ::plf::obs::MetricsRegistry::global(),                                  \
       PLF_PROF_CONCAT(plf_prof_id_, __LINE__), name)
 
-/// Add `delta` to the counter `name` in the global registry.
-#define PLF_PROF_COUNT(name, delta)                                           \
-  do {                                                                        \
-    static const ::plf::obs::MetricId plf_prof_count_id =                     \
-        ::plf::obs::MetricsRegistry::global().counter(name);                  \
-    ::plf::obs::MetricsRegistry::global().add(                                \
-        plf_prof_count_id, static_cast<std::uint64_t>(delta));                \
-    ::plf::obs::flight_record_count(name,                                     \
-                                    static_cast<std::uint64_t>(delta));       \
-  } while (false)
-
 /// Publish `value` to the gauge `name` in the global registry (cold paths).
 #define PLF_PROF_GAUGE(name, value)                                           \
   do {                                                                        \
@@ -98,7 +87,6 @@ class ScopedTimer {
 #else  // profiling compiled out: zero code, zero overhead
 
 #define PLF_PROF_SCOPE(name) static_cast<void>(0)
-#define PLF_PROF_COUNT(name, delta) static_cast<void>(0)
 #define PLF_PROF_GAUGE(name, value) static_cast<void>(0)
 
 #endif  // PLF_PROFILING_ENABLED

@@ -57,15 +57,8 @@ void write_chrome_trace(std::ostream& os, const MetricsRegistry& registry) {
 
 void write_metrics_json(std::ostream& os, const Snapshot& snapshot) {
   const auto old_precision = os.precision(17);
-  os << "{\"counters\":{";
+  os << "{\"gauges\":{";
   bool first = true;
-  for (const auto& c : snapshot.counters) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(c.name) << "\":" << c.value;
-  }
-  os << "},\"gauges\":{";
-  first = true;
   for (const auto& g : snapshot.gauges) {
     if (!first) os << ",";
     first = false;

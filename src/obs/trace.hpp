@@ -9,7 +9,7 @@
 // below it — the paper's fine-grain parallel structure, visible.
 //
 // The metrics writer serializes a Snapshot as a single JSON object
-// ({"counters": {...}, "gauges": {...}, "timers": {...}}); timer entries
+// ({"gauges": {...}, "timers": {...}, "meta": {...}}); timer entries
 // carry count/total/mean/min/max/stddev in seconds. Empty timers write min
 // and max as null, never Infinity (which JSON cannot represent).
 #pragma once

@@ -149,7 +149,6 @@ void ThreadPool::parallel_for(
             "pool (submit from a different thread or pool)");
 
   regions_.fetch_add(1, std::memory_order_relaxed);
-  PLF_PROF_COUNT(obs::kCounterParRegions, 1);
   PLF_PROF_SCOPE(obs::kTimerParRegion);
 
   Region region;

@@ -117,7 +117,7 @@ TEST(FlightDeathTest, ContractAbortDumpsLastSpans) {
   EXPECT_DEATH(
       {
         obs::flight_record_span("flight.before.crash", 111, 22);
-        obs::flight_record_count("flight.crash.count", 7);
+        obs::flight_record_span("flight.last.span", 133, 7);
         PLF_DCHECK(false, "flight dump trigger");
       },
       // The contract hook runs before abort and prints the ring to stderr
@@ -133,8 +133,9 @@ TEST(FlightDeathTest, ContractAbortDumpsLastSpans) {
   EXPECT_NE(json.find("\"kind\":\"span\",\"name\":\"flight.before.crash\""),
             std::string::npos);
   EXPECT_NE(json.find("\"t_ns\":111,\"dur_ns\":22"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"count\",\"name\":\"flight.crash.count\""),
+  EXPECT_NE(json.find("\"kind\":\"span\",\"name\":\"flight.last.span\""),
             std::string::npos);
+  EXPECT_NE(json.find("\"t_ns\":133,\"dur_ns\":7"), std::string::npos);
   std::remove(path.c_str());
 }
 

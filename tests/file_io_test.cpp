@@ -1,9 +1,10 @@
 // On-disk I/O paths (the string-based parsers are covered elsewhere):
 // Alignment::read_file format sniffing and read_nexus_file, including the
-// bundled sample data set when running from the repository root.
+// bundled sample data set (located through PLF_DATA_DIR, set by CMake).
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
 
 #include "phylo/alignment.hpp"
 #include "phylo/nexus.hpp"
@@ -56,24 +57,17 @@ TEST(FileIoTest, NexusFileRoundTrip) {
   ASSERT_EQ(nx.trees.size(), 1u);
 }
 
-TEST(FileIoTest, BundledSampleParsesWhenPresent) {
-  // Best-effort: the repo ships data/sample_8taxa.nex; when the test runs
-  // from the build tree the path resolves one level up.
-  for (const char* candidate :
-       {"data/sample_8taxa.nex", "../data/sample_8taxa.nex",
-        "../../data/sample_8taxa.nex"}) {
-    std::ifstream probe(candidate);
-    if (!probe.good()) continue;
-    const NexusFile nx = read_nexus_file(candidate);
-    EXPECT_TRUE(nx.has_alignment);
-    EXPECT_EQ(nx.alignment.n_taxa(), 8u);
-    EXPECT_EQ(nx.alignment.n_columns(), 800u);
-    ASSERT_EQ(nx.trees.size(), 1u);
-    const Tree t = Tree::from_newick(nx.trees[0].second, nx.alignment.names());
-    EXPECT_EQ(t.n_taxa(), 8u);
-    return;
-  }
-  GTEST_SKIP() << "sample data file not reachable from this cwd";
+TEST(FileIoTest, BundledSampleParses) {
+  // The repo ships data/sample_8taxa.nex; CMake passes its directory in, so
+  // the test finds it from any build tree and working directory.
+  const std::string path = std::string(PLF_DATA_DIR) + "/sample_8taxa.nex";
+  const NexusFile nx = read_nexus_file(path);
+  EXPECT_TRUE(nx.has_alignment);
+  EXPECT_EQ(nx.alignment.n_taxa(), 8u);
+  EXPECT_EQ(nx.alignment.n_columns(), 800u);
+  ASSERT_EQ(nx.trees.size(), 1u);
+  const Tree t = Tree::from_newick(nx.trees[0].second, nx.alignment.names());
+  EXPECT_EQ(t.n_taxa(), 8u);
 }
 
 }  // namespace

@@ -55,30 +55,21 @@ class FakeClockGuard {
 
 // --- registry semantics ---------------------------------------------------
 
-TEST(MetricsRegistry, CounterAddAndSnapshot) {
-  MetricsRegistry reg;
-  const MetricId id = reg.counter("test.counter");
-  reg.add(id);          // default delta 1
-  reg.add(id, 41);
-  const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("test.counter"), 42u);
-  EXPECT_EQ(snap.counter_value("test.absent"), 0u);
-}
-
 TEST(MetricsRegistry, InterningReturnsStableIds) {
   MetricsRegistry reg;
-  const MetricId a = reg.counter("same.name");
-  const MetricId b = reg.counter("same.name");
+  const MetricId a = reg.timer("same.name");
+  const MetricId b = reg.timer("same.name");
   EXPECT_EQ(a, b);
-  EXPECT_NE(reg.counter("other.name"), a);
+  EXPECT_NE(reg.timer("other.name"), a);
   EXPECT_EQ(reg.metric_name(a), "same.name");
 }
 
 TEST(MetricsRegistry, KindMismatchIsContractViolation) {
   MetricsRegistry reg;
-  reg.counter("mixed.kind");
-  EXPECT_THROW(reg.timer("mixed.kind"), Error);
+  reg.timer("mixed.kind");
   EXPECT_THROW(reg.gauge("mixed.kind"), Error);
+  reg.gauge("other.kind");
+  EXPECT_THROW(reg.timer("other.kind"), Error);
 }
 
 TEST(MetricsRegistry, GaugeLastWriteWins) {
@@ -91,8 +82,8 @@ TEST(MetricsRegistry, GaugeLastWriteWins) {
 
 TEST(MetricsRegistry, SetGaugeOnNonGaugeIsContractViolation) {
   MetricsRegistry reg;
-  const MetricId c = reg.counter("not.a.gauge");
-  EXPECT_THROW(reg.set_gauge(c, 1.0), Error);
+  const MetricId t = reg.timer("not.a.gauge");
+  EXPECT_THROW(reg.set_gauge(t, 1.0), Error);
 }
 
 TEST(MetricsRegistry, TimerRecordsExactSamples) {
@@ -112,41 +103,42 @@ TEST(MetricsRegistry, TimerRecordsExactSamples) {
 
 TEST(MetricsRegistry, SnapshotIsSortedByName) {
   MetricsRegistry reg;
-  reg.add(reg.counter("zz.last"));
-  reg.add(reg.counter("aa.first"));
-  reg.add(reg.counter("mm.middle"));
+  reg.record_seconds(reg.timer("zz.last"), 1.0);
+  reg.record_seconds(reg.timer("aa.first"), 1.0);
+  reg.record_seconds(reg.timer("mm.middle"), 1.0);
+  reg.set_gauge(reg.gauge("zz.gauge"), 1.0);
+  reg.set_gauge(reg.gauge("aa.gauge"), 1.0);
   const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 3u);
-  EXPECT_EQ(snap.counters[0].name, "aa.first");
-  EXPECT_EQ(snap.counters[1].name, "mm.middle");
-  EXPECT_EQ(snap.counters[2].name, "zz.last");
+  ASSERT_EQ(snap.timers.size(), 3u);
+  EXPECT_EQ(snap.timers[0].name, "aa.first");
+  EXPECT_EQ(snap.timers[1].name, "mm.middle");
+  EXPECT_EQ(snap.timers[2].name, "zz.last");
+  ASSERT_EQ(snap.gauges.size(), 2u);
+  EXPECT_EQ(snap.gauges[0].name, "aa.gauge");
+  EXPECT_EQ(snap.gauges[1].name, "zz.gauge");
 }
 
 TEST(MetricsRegistry, ResetZeroesValuesButKeepsNames) {
   MetricsRegistry reg;
-  const MetricId c = reg.counter("keep.counter");
   const MetricId t = reg.timer("keep.timer");
   const MetricId g = reg.gauge("keep.gauge");
-  reg.add(c, 7);
   reg.record_seconds(t, 1.0);
   reg.set_gauge(g, 3.0);
   reg.reset();
 
   const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("keep.counter"), 0u);
   EXPECT_DOUBLE_EQ(snap.gauge_value("keep.gauge"), 0.0);
   const Snapshot::Timer* timer = snap.find_timer("keep.timer");
   ASSERT_NE(timer, nullptr);  // name survives
   EXPECT_EQ(timer->stats.count(), 0u);
 
   // Ids held across the reset stay valid.
-  reg.add(c, 2);
-  EXPECT_EQ(reg.snapshot().counter_value("keep.counter"), 2u);
+  reg.record_seconds(t, 2.0);
+  EXPECT_EQ(reg.snapshot().find_timer("keep.timer")->stats.count(), 1u);
 }
 
 TEST(MetricsRegistry, ThreadShardsMergeExactly) {
   MetricsRegistry reg;
-  const MetricId c = reg.counter("mt.counter");
   const MetricId t = reg.timer("mt.timer");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
@@ -154,9 +146,8 @@ TEST(MetricsRegistry, ThreadShardsMergeExactly) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&reg, c, t] {
+    threads.emplace_back([&reg, t] {
       for (int j = 0; j < kPerThread; ++j) {
-        reg.add(c);
         reg.record_seconds(t, 0.001);
       }
     });
@@ -164,8 +155,6 @@ TEST(MetricsRegistry, ThreadShardsMergeExactly) {
   for (auto& th : threads) th.join();
 
   const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("mt.counter"),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
   const Snapshot::Timer* timer = snap.find_timer("mt.timer");
   ASSERT_NE(timer, nullptr);
   EXPECT_EQ(timer->stats.count(),
@@ -231,22 +220,22 @@ TEST(MetricsRegistry, TraceBufferCapsAndCountsDrops) {
 
 TEST(ProfMacros, RecordIntoGlobalRegistry) {
   MetricsRegistry& reg = MetricsRegistry::global();
-  const std::uint64_t before =
-      reg.snapshot().counter_value("test.macro_counter");
-  PLF_PROF_COUNT("test.macro_counter", 3);
+  const auto scope_count = [&reg] {
+    const Snapshot snap = reg.snapshot();
+    const Snapshot::Timer* t = snap.find_timer("test.macro_scope");
+    return t == nullptr ? std::uint64_t{0} : t->stats.count();
+  };
+  const std::uint64_t before = scope_count();
   PLF_PROF_GAUGE("test.macro_gauge", 1.5);
-  {
+  for (int i = 0; i < 3; ++i) {
     PLF_PROF_SCOPE("test.macro_scope");
   }
-  const Snapshot snap = reg.snapshot();
 #if defined(PLF_PROFILING_ENABLED)
-  EXPECT_EQ(snap.counter_value("test.macro_counter"), before + 3);
-  EXPECT_DOUBLE_EQ(snap.gauge_value("test.macro_gauge"), 1.5);
-  const Snapshot::Timer* t = snap.find_timer("test.macro_scope");
-  ASSERT_NE(t, nullptr);
-  EXPECT_GE(t->stats.count(), 1u);
+  EXPECT_DOUBLE_EQ(reg.snapshot().gauge_value("test.macro_gauge"), 1.5);
+  EXPECT_EQ(scope_count(), before + 3);
 #else
-  EXPECT_EQ(snap.counter_value("test.macro_counter"), before);
+  EXPECT_EQ(reg.snapshot().find_gauge("test.macro_gauge"), nullptr);
+  EXPECT_EQ(scope_count(), before);
 #endif
 }
 
@@ -277,16 +266,19 @@ TEST(TraceWriter, EmitsChromeTracingShape) {
 
 TEST(MetricsWriter, EmitsAllSectionsAndNullForEmptyTimerExtremes) {
   MetricsRegistry reg;
-  reg.add(reg.counter("json.counter"), 5);
   reg.set_gauge(reg.gauge("json.gauge"), 0.5);
+  reg.record_seconds(reg.timer("json.timer"), 0.5);
+  reg.record_seconds(reg.timer("json.timer"), 0.5);
   reg.timer("json.empty_timer");  // interned, never sampled
   std::ostringstream os;
   write_metrics_json(os, reg.snapshot());
   const std::string out = os.str();
-  EXPECT_NE(out.find("\"counters\""), std::string::npos);
-  EXPECT_NE(out.find("\"gauges\""), std::string::npos);
+  EXPECT_EQ(out.rfind("{\"gauges\":{", 0), 0u);  // no counters section
+  EXPECT_EQ(out.find("\"counters\""), std::string::npos);
   EXPECT_NE(out.find("\"timers\""), std::string::npos);
-  EXPECT_NE(out.find("\"json.counter\":5"), std::string::npos);
+  EXPECT_NE(out.find("\"meta\""), std::string::npos);
+  EXPECT_NE(out.find("\"json.gauge\":0.5"), std::string::npos);
+  EXPECT_NE(out.find("\"json.timer\":{\"count\":2"), std::string::npos);
   EXPECT_NE(out.find("\"json.empty_timer\""), std::string::npos);
   // Empty min/max are NaN internally and must serialize as null: JSON has
   // no NaN/Infinity literals and python -m json.tool would reject them.
@@ -556,10 +548,10 @@ TEST(Breakdown, FooterSurfacesTraceAndHistogramDrops) {
 // --- flight recorder (in-process paths; death paths live in
 // contracts_test.cpp) --------------------------------------------------------
 
-TEST(FlightRecorder, RecordsSpansAndCountsIntoJson) {
+TEST(FlightRecorder, RecordsSpansIntoJson) {
   flight_reset_for_tests();
   flight_record_span("flight.test.span", 100, 50);
-  flight_record_count("flight.test.count", 3);
+  flight_record_span("flight.test.second", 200, 3);
   std::ostringstream os;
   write_flight_json(os, "unit-test");
   const std::string out = os.str();
@@ -568,9 +560,9 @@ TEST(FlightRecorder, RecordsSpansAndCountsIntoJson) {
   EXPECT_NE(out.find("\"kind\":\"span\",\"name\":\"flight.test.span\""),
             std::string::npos);
   EXPECT_NE(out.find("\"t_ns\":100,\"dur_ns\":50"), std::string::npos);
-  EXPECT_NE(out.find("\"kind\":\"count\",\"name\":\"flight.test.count\""),
+  EXPECT_NE(out.find("\"kind\":\"span\",\"name\":\"flight.test.second\""),
             std::string::npos);
-  EXPECT_NE(out.find("\"delta\":3"), std::string::npos);
+  EXPECT_NE(out.find("\"t_ns\":200,\"dur_ns\":3"), std::string::npos);
 }
 
 TEST(FlightRecorder, RingKeepsOnlyTheLastEvents) {

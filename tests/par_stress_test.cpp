@@ -80,7 +80,7 @@ TEST(ParStressTest, ParallelForResultVisibleToNonParticipatingReader) {
 
 TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
   // ThreadedBackend::run_evaluation opens one parallel region per
-  // evaluation and records plan.* counters/timers into the GLOBAL registry
+  // evaluation and records its plan.*/engine timers into the GLOBAL registry
   // from the calling thread, while 8 oversubscribed workers run the scaler
   // stages, each op's down/root and scale kernels back to back, and their
   // share of the root reduction on their chunks, each writing only its own
@@ -113,7 +113,7 @@ TEST(ParStressTest, PlanDispatchHammeredWhileMetricsFlusherReads) {
   std::thread flusher([&] {
     while (!stop.load(std::memory_order_acquire)) {
       const obs::Snapshot snap = obs::MetricsRegistry::global().snapshot();
-      (void)snap.counter_value(obs::kCounterPlanRegionsSaved);
+      (void)snap.find_timer(obs::kTimerParRegion);
       (void)snap.gauge_value(obs::kGaugeEnginePlanBuilds);
       (void)snap.timer_total_s(obs::kTimerPlanLevel);
     }
@@ -337,7 +337,7 @@ TEST(ParStressTest, MultiInstanceSchedulerHammeredWhileMetricsFlusherReads) {
       const obs::Snapshot snap = obs::MetricsRegistry::global().snapshot();
       (void)snap.gauge_value("inst0.engine.plan_ops");
       (void)snap.gauge_value("inst3.engine.plan_ops");
-      (void)snap.counter_value(obs::kCounterPlanRegionsSaved);
+      (void)snap.timer_total_s(obs::kTimerParRegion);
     }
   });
 
@@ -412,13 +412,12 @@ TEST(ParStressTest, NestedParallelForIsRejected) {
 }
 
 TEST(ParStressTest, MetricsRegistryHammeredWhileFlusherReads) {
-  // 8 pool workers record counters, timer samples, and trace spans into the
-  // registry while a dedicated reader thread snapshots and drains the trace
-  // buffer in a tight loop. Under TSan this exercises the shard-mutex
-  // handoff between writers and the flusher; under the plain presets it
-  // checks that concurrent flushes never lose or duplicate a record.
+  // 8 pool workers record timer samples and trace spans into the registry
+  // while a dedicated reader thread snapshots and drains the trace buffer in
+  // a tight loop. Under TSan this exercises the shard-mutex handoff between
+  // writers and the flusher; under the plain presets it checks that
+  // concurrent flushes never lose or duplicate a record.
   obs::MetricsRegistry reg;
-  const obs::MetricId counter = reg.counter("stress.counter");
   const obs::MetricId timer = reg.timer("stress.timer");
   reg.enable_tracing(true);
 
@@ -427,11 +426,11 @@ TEST(ParStressTest, MetricsRegistryHammeredWhileFlusherReads) {
     std::uint64_t last = 0;
     while (!stop.load(std::memory_order_acquire)) {
       const obs::Snapshot snap = reg.snapshot();
-      const std::uint64_t seen = snap.counter_value("stress.counter");
-      EXPECT_GE(seen, last);  // totals only grow while writers run
-      last = seen;
       const auto* t = snap.find_timer("stress.timer");
-      if (t != nullptr && t->stats.count() > 0) {
+      const std::uint64_t seen = t == nullptr ? 0 : t->stats.count();
+      EXPECT_GE(seen, last);  // sample counts only grow while writers run
+      last = seen;
+      if (seen > 0) {
         EXPECT_DOUBLE_EQ(t->stats.min(), 1e-6);
         EXPECT_DOUBLE_EQ(t->stats.max(), 1e-6);
       }
@@ -445,7 +444,6 @@ TEST(ParStressTest, MetricsRegistryHammeredWhileFlusherReads) {
   for (int round = 0; round < kRounds; ++round) {
     pool.parallel_for(0, kN, [&](Range r, std::size_t) {
       for (std::size_t i = r.begin; i < r.end; ++i) {
-        reg.add(counter);
         reg.record_seconds(timer, 1e-6);
         reg.record_span(timer, i, i + 1);
       }
@@ -456,7 +454,6 @@ TEST(ParStressTest, MetricsRegistryHammeredWhileFlusherReads) {
 
   const obs::Snapshot snap = reg.snapshot();
   constexpr std::uint64_t kTotal = static_cast<std::uint64_t>(kN) * kRounds;
-  EXPECT_EQ(snap.counter_value("stress.counter"), kTotal);
   const auto* t = snap.find_timer("stress.timer");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->stats.count(), kTotal);
@@ -503,7 +500,6 @@ TEST(ParStressTest, HistogramAndFlightHammeredWhileFlusherReads) {
       for (std::size_t i = r.begin; i < r.end; ++i) {
         reg.record_seconds(timer, 1e-6);  // 1000 ns exactly
         obs::flight_record_span("stress.flight", i, 1);
-        if (i % 64 == 0) obs::flight_record_count("stress.flight.count", 1);
       }
     });
   }
@@ -581,32 +577,35 @@ TEST(ParStressTest, FreshThreadFirstRecordRacesSnapshotLoop) {
   // "snapshot" was not a consistent cut. snapshot() now holds the registry
   // lock across the whole merge. The invariant checked here: a sample fully
   // recorded (thread joined) before a snapshot starts can never be missing
-  // from it. Each recording thread is brand new, so every add() exercises
-  // the make_shard registration path against the flush loop.
+  // from it. Each recording thread is brand new, so every record_seconds()
+  // exercises the make_shard registration path against the flush loop.
   obs::MetricsRegistry reg;
-  const obs::MetricId counter = reg.counter("stress.fresh");
+  const obs::MetricId fresh = reg.timer("stress.fresh");
+  const auto samples = [&reg] {
+    const obs::Snapshot snap = reg.snapshot();
+    const auto* t = snap.find_timer("stress.fresh");
+    return t == nullptr ? std::uint64_t{0} : t->stats.count();
+  };
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> committed{0};
   std::thread flusher([&] {
     while (!stop.load(std::memory_order_acquire)) {
       const std::uint64_t floor = committed.load(std::memory_order_acquire);
-      const obs::Snapshot snap = reg.snapshot();
-      EXPECT_GE(snap.counter_value("stress.fresh"), floor);
+      EXPECT_GE(samples(), floor);
     }
   });
 
   constexpr int kFreshThreads = 64;
   for (int i = 0; i < kFreshThreads; ++i) {
-    std::thread recorder([&] { reg.add(counter); });
+    std::thread recorder([&] { reg.record_seconds(fresh, 1e-6); });
     recorder.join();
     committed.fetch_add(1, std::memory_order_release);
   }
 
   stop.store(true, std::memory_order_release);
   flusher.join();
-  EXPECT_EQ(reg.snapshot().counter_value("stress.fresh"),
-            static_cast<std::uint64_t>(kFreshThreads));
+  EXPECT_EQ(samples(), static_cast<std::uint64_t>(kFreshThreads));
 }
 
 TEST(ParStressTest, TelemetryExporterHammeredWhileChainsRun) {

@@ -1,8 +1,9 @@
 // Live telemetry end-to-end (docs/OBSERVABILITY.md): the exporter's JSONL
 // schema round-trips through plf::json, the status file is always a complete
 // document, checkpoint/resume appends a bit-consistent continuation, running
-// with telemetry on does not perturb the chains (0-ULP), and the plf_status
-// renderer turns records into the live table.
+// with telemetry on does not perturb the chains (0-ULP), every count a run
+// reports has exactly one owner, and the plf_status renderer turns records
+// into the live table.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,11 +18,16 @@
 #include <thread>
 #include <vector>
 
+#include "cell/machine.hpp"
 #include "core/backend.hpp"
 #include "core/engine.hpp"
+#include "gpu/plf_gpu.hpp"
 #include "mcmc/coupled.hpp"
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
+#include "obs/names.hpp"
+#include "obs/trace.hpp"
+#include "par/thread_pool.hpp"
 #include "phylo/patterns.hpp"
 #include "plf_status/status.hpp"
 #include "seqgen/datasets.hpp"
@@ -374,6 +380,83 @@ TEST(TelemetryTest, StopAtEssEndsRunEarlyAndFlushesFinalRecord) {
   ASSERT_FALSE(lines.empty());
   EXPECT_EQ(json::parse(lines.back()).at("generation").as_number(),
             static_cast<double>(mc3.generation()));
+}
+
+// --- one owner per count -----------------------------------------------------
+
+std::uint64_t timer_count(const obs::Snapshot& snap, const char* name) {
+  const obs::Snapshot::Timer* t = snap.find_timer(name);
+  return t == nullptr ? 0 : t->stats.count();
+}
+
+// The metrics registry keeps no counters: every count has one owner — a
+// timer's sample count, a stats field published as a gauge, or an atomic
+// (docs/OBSERVABILITY.md). A short threaded MC^3 run with telemetry every
+// generation, then one Cell and one GPU evaluation, checks each owner holds
+// its count exactly.
+TEST(CountOwnersTest, EveryCountHasExactlyOneOwner) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  // 279 patterns on a 2-thread pool: tail-only and short-path evaluations
+  // run inline, longer ones open a region, so both owners count.
+  const Instance inst = make_instance(12, 600, 305);
+  par::ThreadPool pool(2);
+  core::ThreadedBackend backend(pool);
+  obs::TelemetryOptions topts;
+  topts.jsonl_path = temp_path("plf_owners.jsonl");
+  topts.status_path = temp_path("plf_owners_status.json");
+  topts.every_generations = 1;
+  obs::TelemetryExporter exporter(topts, &reg);
+  CoupledOptions opts;
+  opts.chain.seed = 47;
+  opts.chain.w_pinv = 0.7;
+  opts.telemetry = &exporter;
+  constexpr std::size_t kChains = 2;
+  constexpr std::uint64_t kGenerations = 40;
+  CoupledChains mc3(make_engines(inst, backend, kChains), opts);
+  mc3.run(kGenerations);
+
+  // Each threaded evaluation either ran inline or opened one pool region.
+  std::uint64_t reduce_calls = 0;
+  for (std::size_t i = 0; i < kChains; ++i) {
+    reduce_calls += mc3.engine(i).stats().reduce_calls;
+  }
+  EXPECT_GT(backend.inline_evals(), 0u);
+  EXPECT_GT(pool.regions(), 0u);
+  EXPECT_EQ(backend.inline_evals() + pool.regions(), reduce_calls);
+
+  // The exporter times each record it writes into the registry it was given.
+  EXPECT_EQ(exporter.records_written(), kGenerations);
+  EXPECT_EQ(timer_count(reg.snapshot(), obs::kTimerTelemetryExport),
+            exporter.records_written());
+
+#if defined(PLF_PROFILING_ENABLED)
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(timer_count(snap, obs::kTimerParRegion), pool.regions());
+  EXPECT_EQ(timer_count(snap, obs::kTimerMcmcGeneration),
+            kChains * kGenerations);
+  std::ostringstream metrics;
+  obs::write_metrics_json(metrics, snap);
+  EXPECT_EQ(metrics.str().find("\"counters\""), std::string::npos);
+
+  // The simulators' run stats reach the registry as gauges.
+  cell::CellMachine cell_machine(cell::CellConfig{});
+  core::PlfEngine on_cell(inst.data, inst.params, inst.tree, cell_machine);
+  on_cell.log_likelihood();
+  gpu::GpuPlf gpu_device(gpu::GpuPlfConfig{});
+  core::PlfEngine on_gpu(inst.data, inst.params, inst.tree, gpu_device);
+  on_gpu.log_likelihood();
+  const obs::Snapshot sim = reg.snapshot();
+  const cell::CellRunStats cell_stats = cell_machine.stats();
+  EXPECT_GT(cell_stats.plf_invocations, 0u);
+  EXPECT_EQ(sim.gauge_value(obs::kGaugeCellPlfInvocations),
+            static_cast<double>(cell_stats.plf_invocations));
+  EXPECT_EQ(sim.gauge_value(obs::kGaugeCellMailboxMessages),
+            static_cast<double>(cell_stats.mailbox_messages));
+  EXPECT_GT(gpu_device.stats().kernel_launches, 0u);
+  EXPECT_EQ(sim.gauge_value(obs::kGaugeGpuKernelLaunches),
+            static_cast<double>(gpu_device.stats().kernel_launches));
+#endif
 }
 
 // --- plf_status rendering ---------------------------------------------------

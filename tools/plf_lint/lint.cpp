@@ -408,10 +408,7 @@ void rule_prof_name(std::string_view relpath, const std::vector<Token>& t,
   for (std::size_t i = 0; i + 2 < t.size(); ++i) {
     if (t[i].kind != Token::Kind::kIdent) continue;
     const std::string& name = t[i].text;
-    if (name != "PLF_PROF_SCOPE" && name != "PLF_PROF_COUNT" &&
-        name != "PLF_PROF_GAUGE") {
-      continue;
-    }
+    if (name != "PLF_PROF_SCOPE" && name != "PLF_PROF_GAUGE") continue;
     if (t[i + 1].kind != Token::Kind::kPunct || t[i + 1].text != "(") continue;
     const Token& arg = t[i + 2];
     if (arg.kind == Token::Kind::kString) {
@@ -423,9 +420,8 @@ void rule_prof_name(std::string_view relpath, const std::vector<Token>& t,
     }
   }
   // The MetricsRegistry interning calls are the same surface without the
-  // macro: registry.counter("lit") / .gauge("lit") / .timer("lit") mint a
-  // metric name the report and telemetry consumers can't find in
-  // obs/names.hpp. Names built from the k* prefix constants pass (the first
+  // macro: registry.gauge("lit") / .timer("lit") mint a metric name the
+  // report and telemetry consumers can't find in obs/names.hpp. Names built from the k* prefix constants pass (the first
   // argument token is then an identifier, not a string literal).
   for (std::size_t i = 0; i + 3 < t.size(); ++i) {
     if (t[i].kind != Token::Kind::kPunct ||
@@ -434,7 +430,7 @@ void rule_prof_name(std::string_view relpath, const std::vector<Token>& t,
     }
     if (t[i + 1].kind != Token::Kind::kIdent) continue;
     const std::string& method = t[i + 1].text;
-    if (method != "counter" && method != "gauge" && method != "timer") continue;
+    if (method != "gauge" && method != "timer") continue;
     if (t[i + 2].kind != Token::Kind::kPunct || t[i + 2].text != "(") continue;
     const Token& arg = t[i + 3];
     if (arg.kind == Token::Kind::kString) {
